@@ -1,12 +1,16 @@
 """Micro-benchmarks of the individual schedulers (ablation support).
 
 These are not paper figures; they quantify the cost of each scheduling method
-on a fixed medium-load system, which backs the design discussion in DESIGN.md
-(the heuristic is polynomial, the GA dominates the experiment run time).
+on a fixed medium-load system (the heuristic is polynomial, the GA dominates
+the experiment run time).  ``test_bench_heuristic`` repeats one call, so after
+its first round it times the per-process heuristic memo;
+``test_bench_heuristic_cold`` empties the memos before every round and so
+times the heuristic itself (graph decomposition plus LCC-D).
 """
 
 import pytest
 
+from repro.core.memo import reset_memos
 from repro.scheduling import (
     FPSOfflineScheduler,
     GAConfig,
@@ -37,6 +41,18 @@ def test_bench_gpiocp(benchmark, medium_system):
 @pytest.mark.benchmark(group="schedulers")
 def test_bench_heuristic(benchmark, medium_system):
     result = benchmark(lambda: HeuristicScheduler().schedule_taskset(medium_system))
+    assert result.schedulable
+
+
+@pytest.mark.benchmark(group="schedulers")
+def test_bench_heuristic_cold(benchmark, medium_system):
+    result = benchmark.pedantic(
+        lambda: HeuristicScheduler().schedule_taskset(medium_system),
+        setup=reset_memos,
+        rounds=7,
+        iterations=1,
+        warmup_rounds=1,
+    )
     assert result.schedulable
 
 

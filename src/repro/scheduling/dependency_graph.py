@@ -14,10 +14,11 @@ exactly at their ideal start times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core.task import IOJob
 
@@ -37,16 +38,6 @@ class DependencyGraphs:
     def penalty_weight(self, job: IOJob) -> int:
         """Penalty weight ``psi`` of a job: its degree in the conflict graph."""
         return int(self.graph.degree(job.key))
-
-    def job_by_key(self, key: Tuple[str, int]) -> IOJob:
-        return self.graph.nodes[key]["job"]
-
-    def conflicting_pairs(self) -> List[Tuple[IOJob, IOJob]]:
-        """All pairs of jobs whose ideal executions overlap."""
-        return [
-            (self.graph.nodes[a]["job"], self.graph.nodes[b]["job"])
-            for a, b in self.graph.edges
-        ]
 
 
 def build_dependency_graphs(jobs: Sequence[IOJob]) -> DependencyGraphs:
@@ -87,41 +78,44 @@ def decompose_graphs(graphs: DependencyGraphs) -> Tuple[List[IOJob], List[IOJob]
     a lower-priority job has a wider release window, hence more free slots for
     re-allocation), then towards the later ideal start for determinism.
 
-    The selection loop runs on a plain adjacency dict rather than a mutable
-    networkx copy — the victim choice is identical (the final ``key``
-    tie-break makes it unique regardless of iteration order) and the
-    per-round cost drops to dict/set operations.
+    The selection loop runs on arrays over the graph's nodes: each round
+    picks the victim by ``argmax`` of ``degree * n + tie_rank``, where the
+    static ``tie_rank`` ranks the nodes by (-priority, ideal start, key).
+    Keys are unique, so the victim is the node with the largest (degree,
+    -priority, ideal start, key).
     """
-    adjacency: Dict[Tuple[str, int], Set[Tuple[str, int]]] = {
-        key: set(graphs.graph[key]) for key in graphs.graph.nodes
-    }
-    job_of: Dict[Tuple[str, int], IOJob] = {
-        key: graphs.graph.nodes[key]["job"] for key in graphs.graph.nodes
-    }
-    sacrificed: List[IOJob] = []
-    edges_remaining = sum(len(neighbours) for neighbours in adjacency.values()) // 2
+    keys = list(graphs.graph.nodes)
+    jobs = [graphs.graph.nodes[key]["job"] for key in keys]
+    n = len(keys)
+    position = {key: i for i, key in enumerate(keys)}
+    neighbours = [
+        np.array([position[other] for other in graphs.graph[key]], dtype=np.int64)
+        for key in keys
+    ]
+    by_preference = sorted(
+        range(n), key=lambda i: (-jobs[i].priority, jobs[i].ideal_start, keys[i])
+    )
+    tie_rank = np.empty(n, dtype=np.int64)
+    tie_rank[by_preference] = np.arange(n)
+    degree = np.array([len(adjacent) for adjacent in neighbours], dtype=np.int64)
+    score = degree * n + tie_rank
+    alive = np.ones(n, dtype=bool)
+    edges_remaining = int(degree.sum()) // 2
 
+    sacrificed: List[int] = []
     while edges_remaining:
-        # Pick the node with the highest degree; tie-break by lowest priority,
-        # then latest ideal start, then job key (full determinism).
-        victim_key = max(
-            (key for key, neighbours in adjacency.items() if neighbours),
-            key=lambda key: (
-                len(adjacency[key]),
-                -job_of[key].priority,
-                job_of[key].ideal_start,
-                key,
-            ),
-        )
-        neighbours = adjacency.pop(victim_key)
-        for other in neighbours:
-            adjacency[other].discard(victim_key)
-        edges_remaining -= len(neighbours)
-        sacrificed.append(job_of[victim_key])
+        victim = int(score.argmax())
+        alive[victim] = False
+        score[victim] = -1
+        adjacent = neighbours[victim]
+        adjacent = adjacent[alive[adjacent]]
+        score[adjacent] -= n
+        edges_remaining -= adjacent.size
+        sacrificed.append(victim)
 
     kept = sorted(
-        (job_of[key] for key in adjacency),
+        (jobs[i] for i in np.flatnonzero(alive)),
         key=lambda j: (j.ideal_start, j.key),
     )
-    sacrificed.sort(key=lambda j: (-j.priority, j.ideal_start, j.key))
-    return kept, sacrificed
+    sacrificed.sort(key=tie_rank.__getitem__)
+    return kept, [jobs[i] for i in sacrificed]

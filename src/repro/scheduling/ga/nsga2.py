@@ -11,9 +11,14 @@ being found during the search").
 The inner loops are vectorized over a ``(pop, n_genes)`` population matrix:
 
 * :func:`domination_matrix` builds the full pairwise Pareto-domination matrix
-  by broadcasting, and :func:`fast_non_dominated_sort` peels fronts off its
-  column sums — producing fronts in exactly the order the scalar algorithm
-  (kept as :func:`_reference_fast_non_dominated_sort`) emits them;
+  by broadcasting one objective at a time, and :func:`fast_non_dominated_sort`
+  peels fronts off its column sums — producing fronts in exactly the order the
+  scalar algorithm (kept as :func:`_reference_fast_non_dominated_sort`) emits
+  them;
+* the population is ranked once per generation: environmental selection
+  sorts parents plus offspring and hands the survivors' (rank, crowding) to
+  the next generation's tournaments, so the survivors are never sorted
+  again;
 * :func:`crowding_distance` replaces the per-front Python sort with stable
   argsorts and a sliced gap sum, bit-identical to
   :func:`_reference_crowding_distance`;
@@ -62,15 +67,23 @@ def dominates(a: Objectives, b: Objectives) -> bool:
     return at_least_as_good and strictly_better
 
 
+def _domination(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``D[p, q]`` iff row ``p`` of ``a`` dominates row ``q`` of ``b`` (maximisation)."""
+    no_worse = np.ones((a.shape[0], b.shape[0]), dtype=bool)
+    better = np.zeros_like(no_worse)
+    for column_a, column_b in zip(a.T, b.T):
+        no_worse &= column_a[:, None] >= column_b
+        better |= column_a[:, None] > column_b
+    return no_worse & better
+
+
 def domination_matrix(objectives: np.ndarray) -> np.ndarray:
     """Pairwise domination matrix by broadcasting: ``D[p, q]`` iff ``p`` dominates ``q``.
 
     Maximisation semantics, identical to :func:`dominates` applied pairwise.
     """
     obj = np.asarray(objectives, dtype=np.float64)
-    a = obj[:, None, :]
-    b = obj[None, :, :]
-    return (a >= b).all(axis=2) & (a > b).any(axis=2)
+    return _domination(obj, obj)
 
 
 def fast_non_dominated_sort(objectives: Sequence[Objectives]) -> List[List[int]]:
@@ -86,25 +99,27 @@ def fast_non_dominated_sort(objectives: Sequence[Objectives]) -> List[List[int]]
     n = obj.shape[0]
     if n == 0:
         return []
-    dom = domination_matrix(obj)
-    count = dom.sum(axis=0).astype(np.int64)
+    dom = _domination(obj, obj)
+    count = dom.sum(axis=0)
 
     fronts: List[List[int]] = []
     current = np.flatnonzero(count == 0)
-    while current.size:
-        fronts.append([int(index) for index in current])
+    remaining = n
+    while True:
+        fronts.append(current.tolist())
+        remaining -= current.size
+        if not remaining:
+            return fronts
         freed_by_front = dom[current]
-        freed_counts = freed_by_front.sum(axis=0)
-        count -= freed_counts
-        newly_free = np.flatnonzero((count == 0) & (freed_counts > 0))
-        if newly_free.size == 0:
-            break
+        count -= freed_by_front.sum(axis=0)
+        # A front never dominates an earlier one, so marking the front as
+        # done leaves exactly the next front at count zero.
+        count[current] = -1
+        newly_free = np.flatnonzero(count == 0)
         # The scalar loop appends q the moment its *last* dominator in the
         # current front is processed; reproduce that order.
-        positions = np.arange(current.size, dtype=np.int64)[:, None]
-        last_dominator = np.where(freed_by_front[:, newly_free], positions, -1).max(axis=0)
-        current = newly_free[np.lexsort((newly_free, last_dominator))]
-    return fronts
+        last_dominator = (current.size - 1) - freed_by_front[::-1, newly_free].argmax(axis=0)
+        current = newly_free[last_dominator.argsort(kind="stable")]
 
 
 def crowding_distance(
@@ -363,15 +378,16 @@ class NSGA2:
         )
         objectives, _ = self._evaluate_matrix(population, archive)
         evaluations += population.shape[0]
+        rank, crowding = self._rank_and_crowding(objectives)
 
         generations_run = 0
         for _ in range(self.generations):
             generations_run += 1
-            offspring = self._make_offspring(population, objectives)
+            offspring = self._make_offspring(population, rank, crowding)
             offspring_objectives, _ = self._evaluate_matrix(offspring, archive)
             evaluations += offspring.shape[0]
 
-            population, objectives = self._environmental_selection(
+            population, objectives, rank, crowding = self._environmental_selection(
                 np.vstack([population, offspring]),
                 np.vstack([objectives, offspring_objectives]),
             )
@@ -422,6 +438,7 @@ class NSGA2:
     def _rank_and_crowding(
         self, objectives: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Front index and crowding distance of every row (ranks the initial population)."""
         fronts = fast_non_dominated_sort(objectives)
         rank = np.empty(objectives.shape[0], dtype=np.int64)
         crowding = np.empty(objectives.shape[0], dtype=np.float64)
@@ -433,9 +450,11 @@ class NSGA2:
         return rank, crowding
 
     def _make_offspring(
-        self, population: np.ndarray, objectives: np.ndarray
+        self, population: np.ndarray, rank: np.ndarray, crowding: np.ndarray
     ) -> np.ndarray:
-        """One generation of variation.  Fixed per-generation RNG draw order:
+        """One generation of variation from the population's (rank, crowding).
+
+        Fixed per-generation RNG draw order:
 
         1. tournament candidate indices — ``integers(0, pop, size=(2k, 2))``
            with ``k = (population_size + 1) // 2``;
@@ -449,7 +468,6 @@ class NSGA2:
         outcomes, so the stream is reproducible by construction.  The last
         child is dropped when ``population_size`` is odd.
         """
-        rank, crowding = self._rank_and_crowding(objectives)
         n_children = 2 * ((self.population_size + 1) // 2)
         winners = tournament_winners(self.rng, rank, crowding, n_children)
         children = batch_uniform_crossover(
@@ -467,16 +485,44 @@ class NSGA2:
         self,
         combined: np.ndarray,
         combined_objectives: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Elitist truncation to ``population_size`` rows by (front, crowding).
+
+        Returns the survivors' genes and objectives together with their
+        ``(rank, crowding)`` — exactly what :meth:`_rank_and_crowding` would
+        compute on the survivors, without sorting them again.  Every front kept
+        whole is a front of the survivors in the same order, so its crowding
+        carries over.  The survivors list the partial last front by (position
+        of its last dominator in the previous front, position among the
+        survivors), so its crowding is recomputed over the kept rows in that
+        order.
+        """
         fronts = fast_non_dominated_sort(combined_objectives)
+        size = self.population_size
         selected: List[int] = []
-        for front in fronts:
-            if len(selected) + len(front) <= self.population_size:
-                selected.extend(front)
-                continue
+        rank = np.empty(size, dtype=np.int64)
+        crowding = np.empty(size, dtype=np.float64)
+        previous: List[int] = []
+        for front_index, front in enumerate(fronts):
+            first = len(selected)
             distances = crowding_distance(combined_objectives, front)
-            remaining = sorted(front, key=lambda index: -distances[index])
-            selected.extend(remaining[: self.population_size - len(selected)])
-            break
+            listed = front
+            if first + len(front) > size:
+                by_crowding = sorted(front, key=lambda index: -distances[index])
+                front = by_crowding[: size - first]
+                listed = front
+                if previous:
+                    dominated = _domination(
+                        combined_objectives[previous], combined_objectives[front]
+                    )
+                    last_dominator = (len(previous) - 1) - dominated[::-1].argmax(axis=0)
+                    listed = [front[i] for i in last_dominator.argsort(kind="stable")]
+                distances = crowding_distance(combined_objectives, listed)
+            selected.extend(front)
+            rank[first:len(selected)] = front_index
+            crowding[first:len(selected)] = [distances[index] for index in front]
+            if len(selected) == size:
+                break
+            previous = listed
         chosen = np.asarray(selected, dtype=np.int64)
-        return combined[chosen], combined_objectives[chosen]
+        return combined[chosen], combined_objectives[chosen], rank, crowding

@@ -24,8 +24,11 @@ Two implementations coexist:
   through :class:`~repro.scheduling.ga.encoding.CompiledPartition` arrays.
   The forward conflict-resolution scan is expressed as a running maximum
   (``start_k = W_{k-1} + max_{j<=k}(base_j - W_{j-1})`` with ``W`` the
-  cumulative WCET), so only the order-dependent snap-to-ideal pass iterates
-  over job positions — vectorized across the population at each position.
+  cumulative WCET).  The snap-to-ideal pass depends on whether the previous
+  job snapped, which makes each position a constant, a copy or a negation of
+  its predecessor's decision; it is solved in closed form with one XOR scan
+  (the parity of the negations) and one running maximum (the value at the
+  last constant position), so no step loops over job positions.
   Both pairs produce bit-identical objectives for every individual (property
   tested), down to floating-point summation order.
 """
@@ -39,12 +42,6 @@ import numpy as np
 from repro.core.schedule import Schedule
 from repro.core.task import IOJob
 from repro.scheduling.ga.encoding import CompiledPartition, GAProblem
-
-#: Sentinel "no next job" start used by the vectorized snap pass; large enough
-#: to exceed any real start time, small enough that ``ideal + wcet`` cannot
-#: overflow when compared against it.
-_NO_NEXT = np.iinfo(np.int64).max // 4
-
 
 def reconfigure(
     jobs: Sequence[IOJob],
@@ -130,51 +127,54 @@ def _repair_batch(
     the realised start times in that order (strictly increasing, since
     executions never overlap).
     """
-    n_rows, n = genes.shape
+    n = genes.shape[1]
 
     # Execution order implied by the genes; same start -> higher priority first
-    # (the composite key folds the (-priority, key) tie-break into the value).
+    # (the composite key folds the (-priority, key) tie-break into the value,
+    # so every key in a row is distinct and any sort gives the same order).
     composite = genes * np.int64(n) + compiled.order_tiebreak
-    order = np.argsort(composite, axis=1, kind="stable")
+    order = np.argsort(composite, axis=1)
 
     desired = np.take_along_axis(genes, order, axis=1)
     release = compiled.release[order]
     wcet = compiled.wcet[order]
-    deadline = compiled.deadline[order]
+    latest = compiled.latest[order]
     ideal = compiled.ideal[order]
 
     # Forward scan: start_k = max(desired_k, release_k, finish_{k-1}) becomes a
     # prefix maximum over base_j - W_{j-1} (W = cumulative WCET).
     base = np.maximum(desired, release)
-    cum_wcet = np.cumsum(wcet, axis=1)
-    cum_before = cum_wcet - wcet
+    cum_before = np.cumsum(wcet, axis=1) - wcet
     starts = cum_before + np.maximum.accumulate(base - cum_before, axis=1)
 
     # Opportunistic snap-to-ideal.  Eligibility against the *pre-snap* next
-    # start is vectorized; the dependency on the (post-snap) previous finish
-    # runs position by position, vectorized across the population.
-    next_start = np.empty_like(starts)
-    next_start[:, :-1] = starts[:, 1:]
-    next_start[:, -1] = _NO_NEXT
-    eligible = (
-        (starts != ideal)
-        & (release <= ideal)
-        & (ideal <= deadline - wcet)
-        & (ideal + wcet <= next_start)
-    )
-    any_eligible = eligible.any(axis=0)
-    prev_finish = np.zeros(n_rows, dtype=np.int64)
-    for position in range(n):
-        column = starts[:, position]
-        wcet_col = wcet[:, position]
-        if any_eligible[position]:
-            ideal_col = ideal[:, position]
-            snap = eligible[:, position] & (ideal_col >= prev_finish)
-            column = np.where(snap, ideal_col, column)
-            starts[:, position] = column
-        prev_finish = column + wcet_col
+    # start is vectorized.  The only order dependency is the previous job's
+    # finish — its ideal finish if it snapped, its repaired finish otherwise:
+    #     snap_k = eligible_k & (snap_{k-1} ? if_snapped_k : if_kept_k).
+    # So position k fixes snap_k (a constant: k == 0, not eligible, or both
+    # cases agree), copies snap_{k-1}, or negates it (only if_kept_k holds).
+    # With parity_k the XOR of the negations up to k, snap_k ^ parity_k is
+    # constant between constant positions: a running maximum of
+    # ``2 * k + bit`` over the constant positions carries it forward.
+    ideal_finish = ideal + wcet
+    eligible = (starts != ideal) & (release <= ideal) & (ideal <= latest)
+    eligible[:, :-1] &= ideal_finish[:, :-1] <= starts[:, 1:]
+    if_snapped = ideal[:, 1:] >= ideal_finish[:, :-1]
+    if_kept = ideal[:, 1:] >= starts[:, :-1] + wcet[:, :-1]
+    value = eligible.copy()
+    value[:, 0] &= ideal[:, 0] >= 0
+    value[:, 1:] &= if_kept
+    constant = ~eligible
+    constant[:, 0] = True
+    constant[:, 1:] |= if_snapped == if_kept
+    negation = np.zeros_like(eligible)
+    negation[:, 1:] = eligible[:, 1:] & if_kept & ~if_snapped
+    parity = np.bitwise_xor.accumulate(negation, axis=1)
+    marks = np.where(constant, np.arange(0, 2 * n, 2) + (value ^ parity), 0)
+    snap = (np.maximum.accumulate(marks, axis=1) & 1).astype(bool) ^ parity
+    starts = np.where(snap, ideal, starts)
 
-    feasible = ~((starts + wcet > deadline).any(axis=1))
+    feasible = ~(starts > latest).any(axis=1)
     return order, starts, wcet, feasible
 
 

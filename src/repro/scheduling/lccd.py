@@ -18,6 +18,13 @@ LCC-D rule handles each sacrificed job, highest priority first, in two cases:
 If neither case applies the allocation — and hence the heuristic schedule —
 is declared infeasible (the paper explicitly stops here rather than searching
 for re-allocations of already-placed jobs).
+
+:meth:`LCCDAllocator.allocate` runs on int64 arrays: a busy-interval array of
+job indices sorted by start time, free slots from a running maximum of the
+finish times, shift runs as index ranges with prefix sums of exactly-accurate
+jobs, and packing as running extrema.  The per-slot scalar allocator it
+replaced is kept as :meth:`LCCDAllocator._reference_allocate`, the oracle of
+the parity tests; both return the same schedule, entry for entry.
 """
 
 from __future__ import annotations
@@ -62,7 +69,174 @@ class LCCDAllocator:
         sacrificed: Sequence[IOJob],
         horizon: int,
     ) -> Tuple[Optional[Schedule], AllocationReport]:
-        """Build a complete schedule, or return ``(None, report)`` if infeasible."""
+        """Build a complete schedule, or return ``(None, report)`` if infeasible.
+
+        Runs on int64 arrays over ``kept + pending`` (job indices): ``busy``
+        lists the placed jobs by start time, the free slots are the gaps of a
+        running maximum of their finish times, and slot ``s`` sits right
+        before busy position ``slot_next[s]`` — the position a job placed in
+        it is inserted at.  The kept jobs are conflict-free, so every start is
+        distinct.  The schedule is built once at the end, kept jobs first and
+        sacrificed jobs in allocation order, exactly as
+        :meth:`_reference_allocate` inserts them.
+        """
+        report = AllocationReport()
+        # Highest priority first (the paper's "largest P_i first").
+        pending = sorted(sacrificed, key=lambda j: (-j.priority, j.ideal_start, j.key))
+        jobs = list(kept) + pending
+        release = np.array([j.release for j in jobs], dtype=np.int64)
+        deadline = np.array([j.deadline for j in jobs], dtype=np.int64)
+        wcet = np.array([j.wcet for j in jobs], dtype=np.int64)
+        ideal = np.array([j.ideal_start for j in jobs], dtype=np.int64)
+        start = ideal.copy()
+        busy = np.argsort(ideal[: len(kept)], kind="stable")
+
+        for index in range(len(kept), len(jobs)):
+            busy_start = start[busy]
+            # cursor[k]: the device is busy until here before busy position k.
+            cursor = np.maximum.accumulate(np.concatenate(([0], busy_start + wcet[busy])))
+            bounds = np.append(busy_start, horizon)
+            slot_next = np.flatnonzero(bounds > cursor)
+            slot_lo = cursor[slot_next]
+            slot_hi = bounds[slot_next]
+            placed = self._place_direct(
+                jobs[index], index, slot_lo, slot_hi, release, deadline, wcet
+            )
+            if placed is not None:
+                start[index], slot = placed
+                busy = np.insert(busy, slot_next[slot], index)
+                report.allocated_direct += 1
+                continue
+            shifted = self._place_by_shifting(
+                jobs[index], index, busy, start, slot_next, slot_lo, slot_hi,
+                release, deadline, wcet, ideal,
+            )
+            if shifted is not None:
+                busy = shifted
+                report.allocated_by_shift += 1
+                continue
+            report.failed_job = jobs[index].name
+            return None, report
+
+        schedule = Schedule()
+        for job, job_start in zip(jobs, start.tolist()):
+            schedule.set_start(job, job_start)
+        return schedule, report
+
+    def _place_direct(
+        self,
+        job: IOJob,
+        index: int,
+        slot_lo: np.ndarray,
+        slot_hi: np.ndarray,
+        release: np.ndarray,
+        deadline: np.ndarray,
+        wcet: np.ndarray,
+    ) -> Optional[Tuple[int, int]]:
+        """Case 1 on arrays: ``(start, slot)`` of a direct fit, or ``None``."""
+        usable_lo = np.maximum(slot_lo, release[index])
+        usable_hi = np.minimum(slot_hi, deadline[index])
+        fits = np.flatnonzero(
+            (usable_hi > usable_lo) & (usable_hi - usable_lo >= wcet[index])
+        )
+        if not fits.size:
+            return None
+        fit_lo = slot_lo[fits]
+        fit_hi = slot_hi[fits]
+        # Least contention first: how many still-pending jobs could also use
+        # each candidate slot; then least capacity, then earliest slot.
+        lo = np.maximum(fit_lo[:, None], release[None, index + 1:])
+        hi = np.minimum(fit_hi[:, None], deadline[None, index + 1:])
+        contention = ((hi > lo) & (hi - lo >= wcet[index + 1:])).sum(axis=1)
+        chosen = int(np.lexsort((fit_lo, fit_hi - fit_lo, contention))[0])
+        slot = FreeSlot(int(fit_lo[chosen]), int(fit_hi[chosen]))
+        return slot.fit_start(job, prefer_ideal=self.prefer_ideal_placement), int(fits[chosen])
+
+    def _place_by_shifting(
+        self,
+        job: IOJob,
+        index: int,
+        busy: np.ndarray,
+        start: np.ndarray,
+        slot_next: np.ndarray,
+        slot_lo: np.ndarray,
+        slot_hi: np.ndarray,
+        release: np.ndarray,
+        deadline: np.ndarray,
+        wcet: np.ndarray,
+        ideal: np.ndarray,
+    ) -> Optional[np.ndarray]:
+        """Case 2 on arrays: shift in-between jobs and place the job.
+
+        Updates ``start`` in place and returns the new ``busy`` order on
+        success; returns ``None`` (with ``start`` untouched) otherwise.
+        """
+        clipped = np.minimum(slot_hi, job.deadline) - np.maximum(slot_lo, job.release)
+        cum = np.cumsum(np.maximum(clipped, 0))
+        if not cum.size or cum[-1] < job.wcet:
+            return None
+        # A run starts at slot i and ends at the first slot j whose cumulative
+        # window-clipped capacity reaches the job's WCET.  The jobs in between
+        # are busy positions [slot_next[i], slot_next[j]).
+        n_slots = cum.size
+        targets = job.wcet + np.concatenate(([0], cum[:-1]))
+        run_ends = np.maximum(np.searchsorted(cum, targets, side="left"), np.arange(n_slots))
+        run_starts = np.flatnonzero(run_ends < n_slots)
+        run_ends = run_ends[run_starts]
+        first = slot_next[run_starts]
+        last = slot_next[run_ends]
+        exact = np.concatenate(([0], np.cumsum(start[busy] == ideal[busy])))
+        n_exact = exact[last] - exact[first]
+        ranking = np.lexsort((slot_lo[run_starts], last - first, n_exact))
+        for run in ranking.tolist():
+            region_lo = int(slot_lo[run_starts[run]])
+            region_hi = int(slot_hi[run_ends[run]])
+            between = busy[first[run]:last[run]]
+            b_release = release[between]
+            b_deadline = deadline[between]
+            b_wcet = wcet[between]
+            for pack_left in (True, False):
+                if pack_left:
+                    # Pushed as early as their releases allow: a gap opens at the end.
+                    before = np.cumsum(b_wcet) - b_wcet
+                    shifted = before + np.maximum(
+                        region_lo, np.maximum.accumulate(b_release - before)
+                    )
+                    if (shifted + b_wcet > b_deadline).any():
+                        continue
+                    gap_lo = int(np.max(shifted + b_wcet, initial=region_lo))
+                    gap_hi = region_hi
+                else:
+                    # Pushed as late as their deadlines allow: a gap opens at the start.
+                    after = np.cumsum(b_wcet[::-1])[::-1] - b_wcet
+                    finish = np.minimum(
+                        region_hi, np.minimum.accumulate((b_deadline + after)[::-1])[::-1]
+                    ) - after
+                    shifted = finish - b_wcet
+                    if (shifted < b_release).any():
+                        continue
+                    gap_lo = region_lo
+                    gap_hi = int(np.min(shifted, initial=region_hi))
+                usable = FreeSlot(gap_lo, gap_hi).overlap(job.release, job.deadline)
+                if usable is None or usable.capacity < job.wcet:
+                    continue
+                start[between] = shifted
+                start[index] = usable.fit_start(job, prefer_ideal=self.prefer_ideal_placement)
+                return np.insert(busy, last[run] if pack_left else first[run], index)
+        return None
+
+    # -- scalar reference -----------------------------------------------------
+    #
+    # The per-slot allocator that the array version above replaced, retained
+    # verbatim as the oracle of the parity tests.
+
+    def _reference_allocate(
+        self,
+        kept: Sequence[IOJob],
+        sacrificed: Sequence[IOJob],
+        horizon: int,
+    ) -> Tuple[Optional[Schedule], AllocationReport]:
+        """Scalar LCC-D allocation (reference oracle)."""
         schedule = Schedule()
         for job in kept:
             schedule.set_start(job, job.ideal_start)
@@ -76,7 +250,7 @@ class LCCDAllocator:
         deadlines = np.array([j.deadline for j in pending], dtype=np.int64)
         wcets = np.array([j.wcet for j in pending], dtype=np.int64)
         for index, job in enumerate(pending):
-            if self._allocate_direct(
+            if self._reference_allocate_direct(
                 schedule,
                 job,
                 releases[index + 1:],
@@ -86,16 +260,14 @@ class LCCDAllocator:
             ):
                 report.allocated_direct += 1
                 continue
-            if self._allocate_by_shifting(schedule, job, horizon):
+            if self._reference_allocate_by_shifting(schedule, job, horizon):
                 report.allocated_by_shift += 1
                 continue
             report.failed_job = job.name
             return None, report
         return schedule, report
 
-    # -- case 1: direct fit ---------------------------------------------------
-
-    def _allocate_direct(
+    def _reference_allocate_direct(
         self,
         schedule: Schedule,
         job: IOJob,
@@ -135,28 +307,21 @@ class LCCDAllocator:
         schedule.set_start(job, start)
         return True
 
-    @staticmethod
-    def _contention(slot: FreeSlot, remaining: Sequence[IOJob]) -> int:
-        """Number of still-pending jobs that could also use this slot (reference)."""
-        return sum(1 for other in remaining if slot.can_fit(other))
-
-    # -- case 2: fit by shifting ----------------------------------------------
-
-    def _allocate_by_shifting(self, schedule: Schedule, job: IOJob, horizon: int) -> bool:
+    def _reference_allocate_by_shifting(self, schedule: Schedule, job: IOJob, horizon: int) -> bool:
         slots = free_slots(schedule, horizon)
         window_slots = slots_within_window(slots, job.release, job.deadline)
         if total_capacity(window_slots) < job.wcet:
             return False
 
-        runs = self._candidate_runs(schedule, slots, job)
+        runs = self._reference_candidate_runs(schedule, slots, job)
         for _, _, run_slots, between in runs:
-            if self._try_pack(schedule, job, run_slots, between, pack_left=True):
+            if self._reference_try_pack(schedule, job, run_slots, between, pack_left=True):
                 return True
-            if self._try_pack(schedule, job, run_slots, between, pack_left=False):
+            if self._reference_try_pack(schedule, job, run_slots, between, pack_left=False):
                 return True
         return False
 
-    def _candidate_runs(
+    def _reference_candidate_runs(
         self,
         schedule: Schedule,
         slots: Sequence[FreeSlot],
@@ -201,7 +366,7 @@ class LCCDAllocator:
         runs.sort(key=lambda r: (r[0], r[1], r[2][0].start))
         return runs
 
-    def _try_pack(
+    def _reference_try_pack(
         self,
         schedule: Schedule,
         job: IOJob,

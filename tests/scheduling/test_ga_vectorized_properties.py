@@ -5,7 +5,9 @@ against the retained reference implementation for *exact* equality — same
 fronts in the same order, bit-identical crowding distances and objectives —
 on adversarial inputs: duplicated objective vectors, degenerate fronts where
 every point ties on one objective, infeasible (-1, -1) rows, and partitions
-whose repair has to serialise conflicting jobs.
+whose repair has to serialise conflicting jobs.  The (rank, crowding) that
+environmental selection carries into the next generation is checked against
+a fresh ranking of the survivors.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.scheduling.ga.constraints import (
 )
 from repro.scheduling.ga.encoding import GAProblem
 from repro.scheduling.ga.nsga2 import (
+    NSGA2,
     _reference_crowding_distance,
     _reference_fast_non_dominated_sort,
     crowding_distance,
@@ -160,3 +163,83 @@ class TestBatchedFitnessKernels:
         compiled = problem.compiled()
         starts = np.array([[compiled.ideal[0]]], dtype=np.int64)
         assert count_conflicts_batch(compiled, starts).tolist() == [0]
+
+
+# -- rank and crowding carried over by environmental selection ----------------
+
+
+@st.composite
+def selection_cases(draw):
+    """``(population_size, 2 * population_size objective rows)``, tie-heavy.
+
+    Psi takes values k/n as in the scheduling problem; the other objectives
+    come from a three-value pool, so duplicate rows and ties on single
+    objectives are common.  Three-objective rows make ties inside a front
+    possible without duplicates, where the order of a front changes its
+    crowding distances.
+    """
+    size = draw(st.integers(4, 10))
+    n_jobs = draw(st.sampled_from([3, 5, 7]))
+    n_other = draw(st.integers(1, 2))
+    psi = st.integers(0, n_jobs).map(lambda k: k / n_jobs)
+    feasible = st.tuples(psi, *[st.sampled_from([0.25, 0.5, 1.0])] * n_other)
+    row = st.one_of(feasible, st.just((-1.0,) * (1 + n_other)))
+    return size, draw(st.lists(row, min_size=2 * size, max_size=2 * size))
+
+
+def selection_oracle(objectives, size):
+    """Survivor indices: whole fronts, then the most crowded of the next front."""
+    selected = []
+    for front in _reference_fast_non_dominated_sort(objectives):
+        if len(selected) + len(front) <= size:
+            selected.extend(front)
+            continue
+        distances = _reference_crowding_distance(objectives, front)
+        selected.extend(sorted(front, key=lambda index: -distances[index])[: size - len(selected)])
+        break
+    return selected
+
+
+def select(objectives, size):
+    job = IOTask(name="t", wcet=1, period=8).job(0)
+    ga = NSGA2(
+        GAProblem(jobs=[job], horizon=8),
+        evaluate_batch=lambda matrix: (np.zeros((matrix.shape[0], 2)), []),
+        population_size=size,
+    )
+    combined = np.arange(len(objectives), dtype=np.int64)[:, None]
+    return ga, ga._environmental_selection(combined, np.asarray(objectives, dtype=np.float64))
+
+
+class TestSelectionCarryOver:
+    @given(case=selection_cases())
+    @PROPERTY_SETTINGS
+    def test_carried_rank_and_crowding_equal_a_fresh_ranking(self, case):
+        size, rows = case
+        ga, (population, survivors, rank, crowding) = select(rows, size)
+        assert population[:, 0].tolist() == selection_oracle(rows, size)
+        fresh_rank, fresh_crowding = ga._rank_and_crowding(survivors)
+        assert np.array_equal(rank, fresh_rank)
+        # == on floats: inf == inf holds and any ULP drift fails.
+        assert np.array_equal(crowding, fresh_crowding)
+
+    def test_partial_front_listed_out_of_crowding_order(self):
+        # Survivors 6-10 are five of the six rows of front 2, kept in crowding
+        # order; the survivors' own sort lists them as 6, 7, 10, 8, 9 (by last
+        # dominator), and ties on the third objective make their crowding
+        # depend on that order.
+        third = 1.0 / 3.0
+        rows = [
+            (-1.0, -1.0, 0.5), (third, 0.5, 0.0), (third, 0.5, 0.0), (2 * third, 1.0, 0.0),
+            (0.0, 1.0, 0.5), (1.0, 1.0, 0.5), (third, 0.5, 1.0), (0.0, 0.75, 0.0),
+            (-1.0, -1.0, 0.0), (1.0, 1.0, 0.5), (-1.0, -1.0, 1.0), (third, 1.0, 0.5),
+            (-1.0, -1.0, 0.5), (0.0, 0.75, 0.0), (-1.0, -1.0, 1.0), (2 * third, 0.75, 0.0),
+            (0.0, 1.0, 0.0), (0.0, 0.5, 1.0), (1.0, 0.75, 0.0), (1.0, 1.0, 0.0),
+            (-1.0, -1.0, 0.5), (0.0, 1.0, 0.5),
+        ]
+        ga, (_, survivors, rank, crowding) = select(rows, 11)
+        fronts = fast_non_dominated_sort(survivors)
+        assert fronts[-1] != sorted(fronts[-1])
+        fresh_rank, fresh_crowding = ga._rank_and_crowding(survivors)
+        assert np.array_equal(rank, fresh_rank)
+        assert np.array_equal(crowding, fresh_crowding)
