@@ -356,7 +356,8 @@ class CampaignRunner:
         different campaigns can share one root without mixing.  ``None``
         keeps all progress in memory (no resume across processes).
     n_workers:
-        Worker processes of the shared scheduling service (1 = in-process).
+        Worker processes of the runner's one pool (1 = in-process): the
+        scheduling service's, which the run-time side runs on as well.
     cache_dir:
         Optional persistent schedule-cache directory for the service; safe to
         share between concurrent campaign processes (entries are written
@@ -388,7 +389,9 @@ class CampaignRunner:
         service (or :class:`~repro.server.RemoteSimulationService`) to
         simulate through.  The caller keeps ownership and must close it.
         Without one, a campaign with a runtime section builds its own
-        :class:`~repro.runtime.SimulationService` over ``service``.
+        :class:`~repro.runtime.SimulationService` over ``service``, running
+        on ``service``'s pool (or, for a service without a local pool such
+        as the remote one, on a pool of its own).
     timings:
         Append one line per freshly evaluated cell (coordinates, cache
         status, ``elapsed_ms``) to a ``campaign.metrics.jsonl`` sidecar next
@@ -433,8 +436,9 @@ class CampaignRunner:
             self._owns_service = True
 
         # The simulation side (present only when the spec has a runtime
-        # section) schedules through the same SchedulingService, so run-time
-        # cells reuse the schedules their schedule cells just computed.
+        # section) schedules through the same SchedulingService, and runs on
+        # its pool, so run-time cells reuse the schedules their schedule
+        # cells just computed and no second pool starts.
         self.simulation: Optional[SimulationService] = simulation
         self._owns_simulation = simulation is None
         if simulation is None and spec.runtime is not None:

@@ -18,7 +18,7 @@ constraints of Section III-B:
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.task import IOJob
@@ -127,12 +127,6 @@ class Schedule:
         """Start time ``kappa`` assigned to ``job``."""
         try:
             return self._entries[job.key].start
-        except KeyError:
-            raise KeyError(f"job {job.name} is not in the schedule") from None
-
-    def entry_of(self, job: IOJob) -> ScheduleEntry:
-        try:
-            return self._entries[job.key]
         except KeyError:
             raise KeyError(f"job {job.name} is not in the schedule") from None
 

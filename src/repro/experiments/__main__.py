@@ -92,15 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repro/scenario JSON",
     )
     parser.add_argument(
-        "--campaign",
-        default=None,
-        metavar="SPEC_OR_FILE",
-        help="run a declarative campaign (a repro/campaign JSON file or inline "
-        "JSON) instead of a figure, honouring --workers and --artifact-dir, "
-        "and print its Markdown report; see `python -m repro.campaign` for "
-        "the full campaign CLI (resume, report formats)",
-    )
-    parser.add_argument(
         "--profile",
         nargs="?",
         const=DEFAULT_PROFILE_PATH,
@@ -166,35 +157,6 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
     return config.with_overrides(**overrides)
 
 
-def run_campaign_cli(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """``--campaign``: run a campaign grid and print its Markdown report.
-
-    Resumes automatically from ``--artifact-dir`` (the campaign CLI's
-    ``--resume`` semantics are deliberate there; this cross-link favours
-    convenience) and reuses ``--workers`` for the scheduling service.
-    """
-    from repro.campaign import CampaignRunner, load_campaign
-    from repro.campaign.__main__ import _write_runner_metrics
-
-    try:
-        spec = load_campaign(args.campaign)
-    except (ValueError, KeyError) as error:
-        parser.error(f"--campaign: {error}")
-    with CampaignRunner(
-        spec, artifact_dir=args.artifact_dir, n_workers=args.workers
-    ) as runner:
-        result = runner.run()
-        if args.metrics_out is not None:
-            _write_runner_metrics(args.metrics_out, runner)
-    print(
-        f"campaign {spec.name!r} ({spec.content_key()}): "
-        f"{result.evaluated} evaluated, {result.resumed} resumed",
-        file=sys.stderr,
-    )
-    print(result.report().to_markdown())
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -209,19 +171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             print(format_execution_model_listing())
         return 0
-    if args.campaign is not None:
-        if args.figure is not None:
-            parser.error("--campaign replaces the figure argument; pass one or the other")
-        if args.scenario is not None:
-            parser.error("--campaign carries its own scenarios; --scenario does not apply")
-        if args.methods is not None:
-            parser.error("--campaign carries its own methods; --methods does not apply")
-        if args.no_ga:
-            parser.error(
-                "--no-ga does not apply to --campaign; drop GA methods from the spec"
-            )
-        with maybe_profile(args.profile):
-            return run_campaign_cli(parser, args)
     if args.figure is None:
         parser.error("a figure is required (or use --list-methods/--list-scenarios)")
     try:

@@ -2,12 +2,12 @@
 
 The engine decomposes every sweep into independent **evaluation cells** — one
 :class:`EvalJob` per ``(utilisation, system index, method)`` — and executes
-them through a worker pool (:class:`concurrent.futures.ProcessPoolExecutor`;
-``n_workers=1`` runs serially in-process).  Each cell regenerates its system
-from the per-``(utilisation, system)`` deterministic seed, so a cell's value
-depends only on the configuration and the cell coordinates: results are
-bit-identical at any worker count, and cells can be cached on disk and reused
-across runs (see :mod:`repro.experiments.artifacts`).
+them serially in-process (``n_workers=1``) or as schedule requests on the
+worker pool of a :class:`~repro.service.SchedulingService`.  Each cell
+regenerates its system from the per-``(utilisation, system)`` deterministic
+seed, so a cell's value depends only on the configuration and the cell
+coordinates: results are bit-identical at any worker count, and cells can be
+cached on disk and reused across runs (see :mod:`repro.experiments.artifacts`).
 
 Scheduling methods are resolved through the scheduler registry
 (:mod:`repro.scheduling.registry`); registering a new method makes it
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +41,13 @@ from repro.scenario import Scenario, materialize
 # ``create_scheduler("fps-online")`` works without importing the experiments
 # package at all.
 from repro.scheduling import FPSOnlineSchedulabilityMethod  # noqa: F401
-from repro.service import ScheduleRequest, SchedulerSpec, execute_request
+from repro.service import (
+    ScheduleRequest,
+    ScheduleResponse,
+    SchedulerSpec,
+    SchedulingService,
+    execute_request,
+)
 
 # Back-compat re-export: the best-per-objective aggregation moved into the
 # scheduling service alongside the rest of the response building.
@@ -100,6 +105,16 @@ class CellResult:
             "bpsi": self.best_psi,
             "bups": self.best_upsilon,
         }
+
+    @classmethod
+    def from_response(cls, response: ScheduleResponse) -> "CellResult":
+        return cls(
+            schedulable=response.schedulable,
+            psi=response.psi,
+            upsilon=response.upsilon,
+            best_psi=response.best_psi,
+            best_upsilon=response.best_upsilon,
+        )
 
     @classmethod
     def from_record(cls, record: Dict[str, Any]) -> "CellResult":
@@ -177,59 +192,32 @@ def cell_spec(config: ExperimentConfig, job: EvalJob) -> SchedulerSpec:
     return SchedulerSpec("ga", options)
 
 
+def cell_request(config: ExperimentConfig, job: EvalJob) -> ScheduleRequest:
+    """The schedule request one cell executes.
+
+    With a scenario-backed configuration the request itself is
+    scenario-backed — the executing process materialises the system from the
+    declarative description, exactly as a direct ``--scenario`` service
+    request would; otherwise it carries the cell's generated system.
+    """
+    if config.scenario is not None:
+        return ScheduleRequest(
+            scenario=cell_scenario(config, job.utilisation),
+            system_index=job.system_index,
+            spec=cell_spec(config, job),
+        )
+    task_set = generate_system(config, job.utilisation, job.system_index)
+    return ScheduleRequest(task_set=task_set, spec=cell_spec(config, job))
+
+
 def evaluate_cell(config: ExperimentConfig, job: EvalJob) -> CellResult:
     """Evaluate one cell; a pure function of ``(config, job)``.
 
     Cells execute through the scheduling service's pure request path
     (:func:`repro.service.execute_request`), so a sweep cell and a direct
-    service request with the same content are the same computation.  With a
-    scenario-backed configuration the request itself is scenario-backed — the
-    worker materialises the system from the declarative description, exactly
-    as a direct ``--scenario`` service request would.
+    service request with the same content are the same computation.
     """
-    if config.scenario is not None:
-        request = ScheduleRequest(
-            scenario=cell_scenario(config, job.utilisation),
-            system_index=job.system_index,
-            spec=cell_spec(config, job),
-        )
-    else:
-        task_set = generate_system(config, job.utilisation, job.system_index)
-        request = ScheduleRequest(task_set=task_set, spec=cell_spec(config, job))
-    response = execute_request(request)
-    return CellResult(
-        schedulable=response.schedulable,
-        psi=response.psi,
-        upsilon=response.upsilon,
-        best_psi=response.best_psi,
-        best_upsilon=response.best_upsilon,
-    )
-
-
-# -- worker-process plumbing ---------------------------------------------------
-
-_WORKER_CONFIG: Optional[ExperimentConfig] = None
-
-
-def _init_worker(config: ExperimentConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = config
-
-
-def _worker_evaluate(job: EvalJob) -> CellResult:
-    assert _WORKER_CONFIG is not None, "worker used before initialisation"
-    return evaluate_cell(_WORKER_CONFIG, job)
-
-
-def _worker_evaluate_timed(job: EvalJob) -> Tuple[CellResult, float]:
-    """Worker entry returning the cell plus its in-worker compute seconds.
-
-    Timing in the worker keeps pooled latency honest — the parent's iteration
-    order would otherwise fold queueing into the compute time.
-    """
-    started = time.monotonic()
-    cell = _worker_evaluate(job)
-    return cell, time.monotonic() - started
+    return CellResult.from_response(execute_request(cell_request(config, job)))
 
 
 # -- the engine ----------------------------------------------------------------
@@ -239,9 +227,11 @@ class ExperimentEngine:
     """Executes sweeps as parallel evaluation cells with optional persistence.
 
     Parameters default to what the configuration carries (``config.n_workers``
-    and ``config.artifact_dir``); both can be overridden per engine.  Use the
-    engine as a context manager (or call :meth:`close`) to release the worker
-    pool and the artifact journal.
+    and ``config.artifact_dir``); both can be overridden per engine.  With
+    ``n_workers > 1`` cells run on the pool of a cache-less
+    :class:`~repro.service.SchedulingService` the engine starts on first use.
+    Use the engine as a context manager (or call :meth:`close`) to release the
+    worker pool and the artifact journal.
     """
 
     def __init__(
@@ -266,7 +256,7 @@ class ExperimentEngine:
         else:
             self.store = None
             self._owns_store = False
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._service: Optional[SchedulingService] = None
         #: Cells actually evaluated (cache misses) over this engine's lifetime.
         self.cells_computed = 0
         #: Cell counters and evaluate-latency histogram (kind="experiment").
@@ -275,9 +265,9 @@ class ExperimentEngine:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
+        if self._service is not None:
+            self._service.close()
+            self._service = None
         if self.store is not None and self._owns_store:
             self.store.close()
 
@@ -293,8 +283,8 @@ class ExperimentEngine:
         """Evaluate ``jobs``, serving cache hits from the artifact store.
 
         Results are keyed by the input jobs; freshly computed cells are
-        journalled to the store as they complete, so an interrupted call
-        leaves every finished cell reusable.
+        journalled to the store as they complete (serially) or chunk by chunk
+        (pooled), so an interrupted call leaves every finished cell reusable.
         """
         results: Dict[EvalJob, CellResult] = {}
         pending: List[EvalJob] = []
@@ -318,16 +308,23 @@ class ExperimentEngine:
                 results[job] = cell
                 self._count_cell("miss")
         else:
-            chunksize = max(1, len(pending) // (self.n_workers * 4))
-            executor = self._get_executor()
-            for job, (cell, duration_s) in zip(
-                pending,
-                executor.map(_worker_evaluate_timed, pending, chunksize=chunksize),
-            ):
-                self._observe_evaluate(duration_s)
-                self._record(job, cell)
-                results[job] = cell
-                self._count_cell("miss")
+            if self._service is None:
+                self._service = SchedulingService(n_workers=self.n_workers, cache=None)
+            # Chunks keep every worker busy while bounding what an interrupt
+            # can lose, as in CampaignRunner.run.
+            chunk_size = self.n_workers * 4
+            for start in range(0, len(pending), chunk_size):
+                chunk = pending[start : start + chunk_size]
+                responses = self._service.submit_batch(
+                    [cell_request(self.config, job) for job in chunk]
+                )
+                for job, response in zip(chunk, responses):
+                    # elapsed_s is the compute time measured in the worker.
+                    self._observe_evaluate(response.elapsed_s)
+                    cell = CellResult.from_response(response)
+                    self._record(job, cell)
+                    results[job] = cell
+                    self._count_cell("miss")
         return results
 
     def _count_cell(self, cache: str) -> None:
@@ -350,15 +347,6 @@ class ExperimentEngine:
     def metrics(self) -> Dict[str, Any]:
         """A merged metrics snapshot of this engine (see :mod:`repro.obs`)."""
         return self.registry.snapshot()
-
-    def _get_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_init_worker,
-                initargs=(self.config,),
-            )
-        return self._executor
 
     def _cache_key(self, job: EvalJob):
         # Canonicalise the method so aliases and differently-ordered spec

@@ -15,8 +15,8 @@ resource efficiency the paper claims; the published values are also exported
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional
 
 from repro.hardware.library import PrimitiveLibrary, ResourceCost
 
@@ -48,15 +48,6 @@ class ResourceEstimate:
     dsps: int
     bram_kb: int
     power_mw: float
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "luts": self.luts,
-            "registers": self.registers,
-            "dsps": self.dsps,
-            "bram_kb": self.bram_kb,
-            "power_mw": round(self.power_mw, 1),
-        }
 
 
 @dataclass(frozen=True)

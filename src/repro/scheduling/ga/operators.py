@@ -82,21 +82,6 @@ def uniform_crossover(
     return child_a, child_b
 
 
-def single_point_crossover(
-    parent_a: np.ndarray,
-    parent_b: np.ndarray,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Classic single-point crossover on the gene vector."""
-    n = parent_a.shape[0]
-    if n < 2:
-        return parent_a.copy(), parent_b.copy()
-    point = int(rng.integers(1, n))
-    child_a = np.concatenate([parent_a[:point], parent_b[point:]]).astype(np.int64)
-    child_b = np.concatenate([parent_b[:point], parent_a[point:]]).astype(np.int64)
-    return child_a, child_b
-
-
 def mutate(
     problem: GAProblem,
     genes: np.ndarray,

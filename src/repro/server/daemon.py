@@ -97,7 +97,8 @@ class ReproServer:
         is available as :attr:`port` once :meth:`start` has run (and is
         written to ``port_file`` when given, for launcher scripts).
     n_workers:
-        Worker-pool size shared by scheduling and simulation.
+        Size of the daemon's one worker pool: the scheduling service's,
+        which the simulation service runs on as well.
     cache_dir:
         Root of the on-disk caches, in the exact layout of the batch CLIs
         (``schedules/`` + ``sim-responses/`` beneath it).  ``None`` serves
@@ -115,8 +116,9 @@ class ReproServer:
     scheduling, simulation:
         Pre-built services to serve (both or neither).  When given, the
         caller keeps ownership (the daemon will not close them); when
-        omitted the daemon builds its own pair sharing one pool and closes
-        them on shutdown.
+        omitted the daemon builds its own pair, the simulation service
+        running on the scheduling service's pool, and closes both on
+        shutdown.
     allow_remote_shutdown:
         Whether the wire-level ``shutdown`` op is honoured.  On by default —
         the daemon binds loopback unless told otherwise, and driver scripts
@@ -156,15 +158,13 @@ class ReproServer:
                 cache_dir=str(root / SCHEDULE_CACHE_SUBDIR) if root else None,
                 cache_backend=cache_backend,
             )
-            # One pool for both services: simulation jobs and scheduling jobs
-            # are the same kind of CPU-bound pure work, and a single warm
-            # pool is the whole point of the daemon.
+            # The simulation service runs on the scheduling service's pool:
+            # one warm pool for both kinds of pure, CPU-bound work.
             simulation = SimulationService(
                 n_workers=n_workers,
                 cache_dir=str(root / SIM_CACHE_SUBDIR) if root else None,
                 cache_backend=cache_backend,
                 scheduling=scheduling,
-                executor=scheduling._get_executor(),
             )
         self.scheduling = scheduling
         self.simulation = simulation

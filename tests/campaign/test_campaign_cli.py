@@ -1,4 +1,4 @@
-"""End-to-end tests of ``python -m repro.campaign`` and the CLI cross-links."""
+"""End-to-end tests of ``python -m repro.campaign`` and the service CLI cross-link."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.campaign import CampaignReport, CampaignSpec
 from repro.campaign.__main__ import build_parser, main
-from repro.experiments.__main__ import main as experiments_main
 from repro.service.__main__ import main as service_main
 
 RUN_FLAGS = [
@@ -151,36 +150,6 @@ class TestListings:
 
 
 class TestCrossLinks:
-    def test_experiments_cli_campaign_flag(self, tmp_path, capsys):
-        path = tmp_path / "spec.json"
-        path.write_text(flag_spec().to_json())
-        assert (
-            experiments_main(
-                ["--campaign", str(path), "--artifact-dir", str(tmp_path / "art")]
-            )
-            == 0
-        )
-        captured = capsys.readouterr()
-        assert "# Campaign report — flags" in captured.out
-        assert "4 evaluated" in captured.err
-
-        # Re-running resumes from the artifact dir (zero recompute).
-        assert (
-            experiments_main(
-                ["--campaign", str(path), "--artifact-dir", str(tmp_path / "art")]
-            )
-            == 0
-        )
-        assert "0 evaluated, 4 resumed" in capsys.readouterr().err
-
-    def test_experiments_cli_campaign_conflicts(self, tmp_path):
-        path = tmp_path / "spec.json"
-        path.write_text(flag_spec().to_json())
-        with pytest.raises(SystemExit):
-            experiments_main(["fig5", "--campaign", str(path)])
-        with pytest.raises(SystemExit):
-            experiments_main(["--campaign", str(path), "--scenario", "paper-default"])
-
     def test_service_cli_campaign_batch(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(flag_spec().to_json())

@@ -10,11 +10,8 @@ import pytest
 
 from repro.core.memo import reset_memos
 from repro.runtime import SimulationRequest, SimulationService
-from repro.runtime.service import (
-    execute_simulation_chunk,
-    inflate_simulation_entry,
-    slim_simulation_entry,
-)
+from repro.runtime.service import _simulation_runner
+from repro.service.batch import inflate_request, run_chunk, slim_request
 from repro.scenario import Scenario, WorkloadSpec
 from repro.taskgen import GeneratorConfig
 
@@ -91,13 +88,13 @@ class TestSlimPayloads:
     def test_entries_round_trip(self, tiny_scenario):
         scenarios = {}
         for request in request_batch(tiny_scenario):
-            entry = slim_simulation_entry(request, None, "t-1", scenarios)
-            rebuilt, cached_schedule, trace_id = inflate_simulation_entry(
-                entry, scenarios
-            )
-            assert (cached_schedule, trace_id) == (None, "t-1")
+            key = request.content_key()
+            request.effective_task_set()  # memoised; must not ship
+            entry = slim_request(request, scenarios)
+            assert "_materialized_task_set" not in entry[1]
+            rebuilt = inflate_request(entry, scenarios)
             assert rebuilt == request
-            assert rebuilt.content_key() == request.content_key()
+            assert rebuilt.__dict__["_content_key"] == key
         assert list(scenarios) == [tiny_scenario.content_key()]
 
     def test_chunk_worker_matches_serial_execution(self, tiny_scenario):
@@ -105,11 +102,11 @@ class TestSlimPayloads:
         reference = run_batch(tiny_scenario)
         scenarios = {}
         entries = [
-            slim_simulation_entry(request, None, f"t-{index}", scenarios)
+            (slim_request(request, scenarios), f"t-{index}", None)
             for index, request in enumerate(requests)
         ]
-        outcomes, snapshot = execute_simulation_chunk(
-            (scenarios, None, entries, None)
+        outcomes, snapshot = run_chunk(
+            (_simulation_runner, None, "simulation", scenarios, entries, None)
         )
         assert [response.result_dict() for response, _ in outcomes] == reference
         assert [trace["trace_id"] for _, trace in outcomes] == [

@@ -10,7 +10,7 @@ import pytest
 from repro.core.memo import memo_stats, reset_memos
 from repro.scenario import create_scenario
 from repro.service import ScheduleRequest, SchedulingService
-from repro.service.service import inflate_job_entry, slim_job_entry
+from repro.service.batch import inflate_request, slim_request
 
 METHODS = ("static", "gpiocp", "ga:population_size=8,generations=4")
 
@@ -68,17 +68,17 @@ class TestSlimPayloads:
     def test_entries_round_trip(self):
         scenarios = {}
         for request in make_batch():
-            entry = slim_job_entry(request, request.content_key(), "t-1", scenarios)
-            rebuilt, trace_id = inflate_job_entry(entry, scenarios)
-            assert trace_id == "t-1"
+            key = request.content_key()
+            rebuilt = inflate_request(slim_request(request, scenarios), scenarios)
             assert rebuilt == request
-            assert rebuilt.content_key() == request.content_key()
+            # The memoised key rides along: nobody re-hashes it.
+            assert rebuilt.__dict__["_content_key"] == key
 
     def test_each_scenario_ships_once(self):
         batch = make_batch()
         scenarios = {}
         for request in batch:
-            slim_job_entry(request, request.content_key(), "t", scenarios)
+            slim_request(request, scenarios)
         distinct = {request.scenario.content_key() for request in batch}
         assert set(scenarios) == distinct
         assert len(scenarios) == 2
@@ -90,11 +90,10 @@ class TestSlimPayloads:
             task_set=probe.effective_task_set(), spec="static"
         )
         scenarios = {}
-        entry = slim_job_entry(request, request.content_key(), "t", scenarios)
-        assert entry[0] == "request"
+        entry = slim_request(request, scenarios)
+        assert entry is request
         assert scenarios == {}
-        rebuilt, _ = inflate_job_entry(entry, scenarios)
-        assert rebuilt == request
+        assert inflate_request(entry, scenarios) is request
 
 
 class TestMemoHygiene:
