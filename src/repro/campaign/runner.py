@@ -1,16 +1,18 @@
 """``CampaignRunner`` — execute a campaign grid with checkpointed resume.
 
 The runner expands a :class:`~repro.campaign.spec.CampaignSpec` into
-:class:`~repro.service.ScheduleRequest` cells and streams them through one
-shared :class:`~repro.service.SchedulingService` — reusing its worker pool,
-in-batch dedup and content-addressed schedule cache — while checkpointing
-every finished cell to a ``campaign.jsonl`` journal under a directory keyed
-by the campaign's content key (the same discipline as
-:class:`repro.experiments.artifacts.ArtifactStore`).  An interrupted campaign
-re-launched with the same spec therefore resumes with **zero** recomputed
-cells, and because cells are journalled in the spec's canonical grid order,
-the journal — and any report built from it — is byte-identical at every
-worker count.
+:class:`~repro.service.ScheduleRequest` cells and streams them, one batch per
+grid, through one shared :class:`~repro.service.SchedulingService` — reusing
+its worker pool, in-batch dedup and content-addressed schedule cache — while
+checkpointing every finished cell to a ``campaign.jsonl`` journal under a
+directory keyed by the campaign's content key (the same discipline as
+:class:`repro.experiments.artifacts.ArtifactStore`).  The service hands the
+responses back in grid order as they finish, each already in its cache, so
+an interrupt loses at most the service's window (``8 * n_workers`` cells)
+and an interrupted campaign re-launched with the same spec resumes with
+**zero** recomputed journalled cells.  Because cells are journalled in the
+spec's canonical grid order, the journal — and any report built from it — is
+byte-identical at every worker count.
 
 Determinism chain: a cell's scenario + system index materialise a
 deterministic system (:func:`repro.scenario.materialize`); the service's
@@ -381,7 +383,8 @@ class CampaignRunner:
         An existing service to schedule through (its worker pool and cache
         are reused; ``n_workers``/``cache_dir`` are then ignored).  The
         caller keeps ownership and must close it.  Anything with the
-        service's ``submit_batch``/``n_workers``/``close`` surface works —
+        service's ``submit_batch`` (including its in-order ``on_response``
+        callback), ``n_workers`` and ``close`` surface works —
         in particular :class:`~repro.server.RemoteSchedulingService`, which
         rides a running serving daemon.
     simulation:
@@ -506,8 +509,10 @@ class CampaignRunner:
         ``max_cells`` bounds how many *pending* cells this call evaluates
         (schedule cells first, then run-time cells) — the hook tests use to
         simulate an interrupt mid-grid; a subsequent call picks up exactly
-        where this one stopped.  ``progress`` is called after every
-        checkpointed chunk.
+        where this one stopped.  Each grid (schedule cells, then run-time
+        cells) is one service batch whose responses are journalled as they
+        arrive, in grid order; ``progress`` is called every ``n_workers * 4``
+        journalled cells (every cell when serial) and at the end of each grid.
         """
         cells = list(self.spec.cells())
         runtime_cells = list(self.spec.runtime_cells())
@@ -541,55 +546,57 @@ class CampaignRunner:
         evaluated = 0
         # One response-time analysis per distinct system, not per cell.
         analysis_cache: Dict[Tuple[str, int], float] = {}
-        # Chunks bound how much work an interrupt can lose while still
-        # keeping every worker busy (serial runs checkpoint every cell); the
-        # journal content is chunking- (and therefore worker-count-)
-        # independent because cells are always processed and appended in
-        # canonical grid order.
-        chunk_size = 1 if self.n_workers == 1 else self.n_workers * 4
-        for start in range(0, len(pending), chunk_size):
-            chunk = pending[start : start + chunk_size]
-            requests = [cell_request(self.spec, cell) for cell in chunk]
-            responses = self.service.submit_batch(requests)
-            for cell, request, response in zip(chunk, requests, responses):
-                values = cell_values(
-                    self.spec, request, response, analysis_cache=analysis_cache
-                )
-                self._record(cell, values)
-                self._timings.write(
-                    schedule_timing_entry(
-                        cell, cache=response.cache, elapsed_s=response.elapsed_s
-                    )
-                )
-                evaluated += 1
-            if progress is not None:
+        # Each grid goes to the service as one batch.  The service hands the
+        # responses back in canonical grid order as they finish, and each is
+        # journalled on arrival, so the journal is worker-count independent
+        # and an interrupt loses at most the service's window of cells.
+        progress_every = 1 if self.n_workers == 1 else self.n_workers * 4
+
+        def checkpointed(grid_start: int, grid_size: int) -> None:
+            in_grid = evaluated - grid_start
+            if progress is not None and (
+                in_grid % progress_every == 0 or in_grid == grid_size
+            ):
                 progress(
-                    _Progress(
-                        done=resumed + evaluated, total=total, evaluated=evaluated
-                    )
+                    _Progress(done=resumed + evaluated, total=total, evaluated=evaluated)
                 )
+
+        requests = [cell_request(self.spec, cell) for cell in pending]
+
+        def record_schedule(position: int, response: ScheduleResponse) -> None:
+            nonlocal evaluated
+            cell = pending[position]
+            values = cell_values(
+                self.spec, requests[position], response, analysis_cache=analysis_cache
+            )
+            self._record(cell, values)
+            self._timings.write(
+                schedule_timing_entry(cell, cache=response.cache, elapsed_s=response.elapsed_s)
+            )
+            evaluated += 1
+            checkpointed(0, len(pending))
+
+        if pending:
+            self.service.submit_batch(requests, on_response=record_schedule)
 
         # The run-time grid follows the schedule grid, so every simulation's
         # embedded schedule question is already cached when it runs.
-        for start in range(0, len(runtime_pending), chunk_size):
-            chunk = runtime_pending[start : start + chunk_size]
+        def record_runtime(position: int, response: SimulationResponse) -> None:
+            nonlocal evaluated
+            cell = runtime_pending[position]
+            self._record_runtime(cell, runtime_cell_values(self.spec, response))
+            self._timings.write(
+                runtime_timing_entry(cell, cache=response.cache, elapsed_s=response.elapsed_s)
+            )
+            evaluated += 1
+            checkpointed(len(pending), len(runtime_pending))
+
+        if runtime_pending:
             assert self.simulation is not None
-            requests = [runtime_cell_request(self.spec, cell) for cell in chunk]
-            responses = self.simulation.submit_batch(requests)
-            for cell, response in zip(chunk, responses):
-                self._record_runtime(cell, runtime_cell_values(self.spec, response))
-                self._timings.write(
-                    runtime_timing_entry(
-                        cell, cache=response.cache, elapsed_s=response.elapsed_s
-                    )
-                )
-                evaluated += 1
-            if progress is not None:
-                progress(
-                    _Progress(
-                        done=resumed + evaluated, total=total, evaluated=evaluated
-                    )
-                )
+            self.simulation.submit_batch(
+                [runtime_cell_request(self.spec, cell) for cell in runtime_pending],
+                on_response=record_runtime,
+            )
 
         records = {
             cell.key(): self._records[cell.key()]

@@ -283,8 +283,9 @@ class ExperimentEngine:
         """Evaluate ``jobs``, serving cache hits from the artifact store.
 
         Results are keyed by the input jobs; freshly computed cells are
-        journalled to the store as they complete (serially) or chunk by chunk
-        (pooled), so an interrupted call leaves every finished cell reusable.
+        journalled to the store as they complete — pooled ones in request
+        order, as the service hands them back — so an interrupted call leaves
+        every journalled cell reusable.
         """
         results: Dict[EvalJob, CellResult] = {}
         pending: List[EvalJob] = []
@@ -310,21 +311,21 @@ class ExperimentEngine:
         else:
             if self._service is None:
                 self._service = SchedulingService(n_workers=self.n_workers, cache=None)
-            # Chunks keep every worker busy while bounding what an interrupt
-            # can lose, as in CampaignRunner.run.
-            chunk_size = self.n_workers * 4
-            for start in range(0, len(pending), chunk_size):
-                chunk = pending[start : start + chunk_size]
-                responses = self._service.submit_batch(
-                    [cell_request(self.config, job) for job in chunk]
-                )
-                for job, response in zip(chunk, responses):
-                    # elapsed_s is the compute time measured in the worker.
-                    self._observe_evaluate(response.elapsed_s)
-                    cell = CellResult.from_response(response)
-                    self._record(job, cell)
-                    results[job] = cell
-                    self._count_cell("miss")
+
+            def record(position: int, response: ScheduleResponse) -> None:
+                job = pending[position]
+                # elapsed_s is the compute time measured in the worker.
+                self._observe_evaluate(response.elapsed_s)
+                cell = CellResult.from_response(response)
+                self._record(job, cell)
+                results[job] = cell
+                self._count_cell("miss")
+
+            # One batch: cells are journalled as the service hands them back,
+            # so an interrupt loses at most the service's window of cells.
+            self._service.submit_batch(
+                [cell_request(self.config, job) for job in pending], on_response=record
+            )
         return results
 
     def _count_cell(self, cache: str) -> None:

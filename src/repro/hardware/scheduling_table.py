@@ -34,6 +34,9 @@ class SchedulingTable:
         self.capacity = capacity
         self._entries: Dict[Tuple[str, int], TableEntry] = {}
         self._enabled: Dict[str, bool] = {}
+        #: Start time -> its entries in key order; built on the first query
+        #: after a :meth:`load`, so triggers never re-sort the table.
+        self._by_start: Optional[Dict[int, List[TableEntry]]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -48,6 +51,7 @@ class SchedulingTable:
             )
         self._entries[entry.key] = entry
         self._enabled.setdefault(entry.task_name, False)
+        self._by_start = None
 
     def load_many(self, entries) -> None:
         for entry in entries:
@@ -74,7 +78,11 @@ class SchedulingTable:
 
     def due_entries(self, time: int) -> List[TableEntry]:
         """Entries whose start time equals ``time`` (to be triggered now)."""
-        return [entry for entry in self.entries() if entry.start_time == time]
+        if self._by_start is None:
+            self._by_start = {}
+            for entry in sorted(self._entries.values(), key=lambda e: e.key):
+                self._by_start.setdefault(entry.start_time, []).append(entry)
+        return list(self._by_start.get(time, ()))
 
     def next_start_after(self, time: int) -> Optional[int]:
         """The earliest start time strictly greater than ``time``, if any."""

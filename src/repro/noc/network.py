@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.noc.packet import Packet
 from repro.noc.router import Router
@@ -43,6 +43,8 @@ class NoCNetwork:
         self.ejection_delay = ejection_delay
         self.trace = trace
         self.delivered: List[Packet] = []
+        #: XY route per (source, destination), computed on first use.
+        self._routes: Dict[Tuple[NodeId, NodeId], List[NodeId]] = {}
 
     def router(self, node: NodeId) -> Router:
         return self.routers[node]
@@ -55,7 +57,10 @@ class NoCNetwork:
         the destination's home port.
         """
         packet.injected_at = int(time)
-        route = xy_route(packet.source, packet.destination, self.topology)
+        ends = (packet.source, packet.destination)
+        route = self._routes.get(ends)
+        if route is None:
+            route = self._routes[ends] = xy_route(*ends, self.topology)
         current_time = packet.injected_at + self.injection_delay
 
         for hop_index in range(len(route) - 1):

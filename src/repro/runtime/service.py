@@ -19,7 +19,8 @@ pool, in-batch dedup, content-addressed response cache, hit/miss provenance)
 and runs on its scheduling service's pool, so a service pair has one pool.
 What is specific to simulation is the per-chunk schedule context: schedules
 the dispatcher already holds ride with their jobs, and the persistent
-schedule cache is re-opened once per chunk.
+schedule cache is re-opened at most once per chunk, only for jobs without
+one.
 
 The controller-simulation experiment, the campaign runner and the
 ``python -m repro.runtime`` JSONL CLI all simulate through this facade.
@@ -267,29 +268,39 @@ def _schedule_context(
 def _simulation_runner(
     schedule_backend_spec: Optional[str],
 ) -> Iterator[Callable[..., SimulationResponse]]:
-    """Pool side of :class:`SimulationService`: one schedule cache per chunk.
+    """Pool side of :class:`SimulationService`: at most one schedule cache per chunk.
 
     A job's ``extra`` is the schedule the dispatching service already held,
     as its deterministic ``result_dict`` (no recomputation at all).  Jobs
     without one share the dispatcher's persistent schedule cache, re-opened
-    **once per chunk** from its backend spec string (see
-    :meth:`ScheduleCache.backend_spec
-    <repro.service.cache.ScheduleCache.backend_spec>`), so pool workers reuse
-    schedules computed by anyone — every backend writes atomically and is
-    safe for concurrent writers.  Without a spec, schedules are computed
-    in-process.
+    from its backend spec string (see :meth:`ScheduleCache.backend_spec
+    <repro.service.cache.ScheduleCache.backend_spec>`) by the chunk's first
+    such job, so pool workers reuse schedules computed by anyone — every
+    backend writes atomically and is safe for concurrent writers — and a
+    chunk whose schedules all ride along opens nothing.  Without a spec,
+    schedules are computed in-process.
     """
     if schedule_backend_spec is None:
         yield partial(_simulate, None)
         return
-    from repro.store import create_backend
+    opened: List[SchedulingService] = []
 
-    schedule_cache = ScheduleCache(backend=create_backend(schedule_backend_spec))
+    def simulate(
+        request: SimulationRequest, cached_schedule: Optional[Dict[str, object]]
+    ) -> SimulationResponse:
+        if cached_schedule is None and not opened:
+            from repro.store import create_backend
+
+            schedule_cache = ScheduleCache(backend=create_backend(schedule_backend_spec))
+            opened.append(SchedulingService(cache=schedule_cache))
+        return _simulate(opened[0] if opened else None, request, cached_schedule)
+
     try:
-        with SchedulingService(cache=schedule_cache) as scheduling:
-            yield partial(_simulate, scheduling)
+        yield simulate
     finally:
-        schedule_cache.close()
+        for scheduling in opened:
+            scheduling.close()
+            scheduling.cache.close()
 
 
 class SimulationService:
@@ -330,11 +341,12 @@ class SimulationService:
         When ``scheduling`` is given with a persistent cache, its backend
         spec is shipped to the workers automatically.
     chunksize:
-        Jobs per pool chunk for batch dispatch; ``None`` (the default)
-        derives ``max(1, unique_jobs // (n_workers * 4))`` per batch.  Each
-        chunk ships its distinct scenario envelopes once and re-opens the
-        persistent schedule cache once.  Responses are bit-identical at any
-        chunk size.
+        Jobs per pool chunk for batch dispatch; ``None`` (the default) sends
+        two, so a full window is four chunks per worker; a chunk never
+        spans more than one window refill (see
+        :class:`~repro.service.batch.BatchCore`).  Each chunk ships its
+        distinct scenario envelopes once and re-opens the persistent schedule
+        cache at most once.  Responses are bit-identical at any chunk size.
     """
 
     #: Value of the ``kind`` label on this service's registry metrics.
@@ -417,10 +429,12 @@ class SimulationService:
         return self.submit_batch([request])[0]
 
     def submit_batch(
-        self, requests: Iterable[SimulationRequest]
+        self,
+        requests: Iterable[SimulationRequest],
+        on_response: Optional[Callable[[int, SimulationResponse], None]] = None,
     ) -> List[SimulationResponse]:
         """Execute a batch through the cache; see :meth:`BatchCore.submit_batch`."""
-        return self.core.submit_batch(requests)
+        return self.core.submit_batch(requests, on_response)
 
     def execute_in_pool(self, request: SimulationRequest) -> "Future[SimulationResponse]":
         """Submit one request to the worker pool; returns its future.

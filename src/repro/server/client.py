@@ -26,7 +26,7 @@ import asyncio
 import socket
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.messages import (
     SIM_REQUEST_KIND,
@@ -172,7 +172,9 @@ class ServerClient:
     # -- batches -----------------------------------------------------------------
 
     def submit_envelopes(
-        self, envelopes: Sequence[Dict[str, Any]]
+        self,
+        envelopes: Sequence[Dict[str, Any]],
+        on_answer: Optional[Callable[[int, Dict[str, Any]], None]] = None,
     ) -> List[Dict[str, Any]]:
         """Pipeline raw request envelopes; answers in input order.
 
@@ -182,12 +184,15 @@ class ServerClient:
         ``overloaded`` rejections sleep out the server's ``retry_after_s``
         hint and requeue, every other error raises :class:`ServerError`.
         Returns the raw answer payloads — ``repro/schedule-response`` /
-        ``repro/sim-response`` envelope dicts.
+        ``repro/sim-response`` envelope dicts — and hands each one to
+        ``on_answer(position, answer)`` in input order as soon as it and
+        every earlier answer are in.
         """
         ops = [_op_for_envelope(envelope) for envelope in envelopes]
         results: List[Optional[Dict[str, Any]]] = [None] * len(envelopes)
         queue = deque(range(len(envelopes)))
         outstanding: Dict[str, int] = {}
+        delivered = 0
         while queue or outstanding:
             while queue and len(outstanding) < self.window:
                 index = queue.popleft()
@@ -216,6 +221,13 @@ class ServerClient:
                     raise ServerError.from_data(data)
             else:
                 results[index] = data["payload"]
+                while (
+                    on_answer is not None
+                    and delivered < len(results)
+                    and results[delivered] is not None
+                ):
+                    on_answer(delivered, results[delivered])
+                    delivered += 1
         return [result for result in results if result is not None]
 
     # -- typed helpers -----------------------------------------------------------
@@ -409,11 +421,21 @@ class RemoteSchedulingService:
     def submit(self, request):
         return self.submit_batch([request])[0]
 
-    def submit_batch(self, requests) -> List[Any]:
-        answers = self.client.submit_envelopes(
-            [request.to_dict() for request in requests]
+    def submit_batch(self, requests, on_response=None) -> List[Any]:
+        """Pipeline a batch through the daemon; ``on_response`` as on
+        :meth:`BatchCore.submit_batch <repro.service.batch.BatchCore.submit_batch>`,
+        with the client's window bounding the undelivered requests."""
+        responses: List[Any] = []
+
+        def deliver(position: int, answer: Dict[str, Any]) -> None:
+            responses.append(self._response_cls.from_dict(answer))
+            if on_response is not None:
+                on_response(position, responses[-1])
+
+        self.client.submit_envelopes(
+            [request.to_dict() for request in requests], on_answer=deliver
         )
-        return [self._response_cls.from_dict(answer) for answer in answers]
+        return responses
 
     def stats(self) -> Dict[str, Any]:
         return self.client.stats()

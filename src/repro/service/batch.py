@@ -8,8 +8,14 @@ batch them the same way; :class:`BatchCore` is that way, written once:
   in-process), created lazily, reused across batches and shareable — a
   simulation service runs its pooled chunks on the pool of the scheduling
   service it schedules through, so a service pair has one pool;
-* the **response cache** — one batched lookup per batch, every distinct
-  content key computed at most once, one batched write of the fresh results;
+* a **sliding window** — a batch streams through at most
+  :data:`WINDOW_PER_WORKER` ``* n_workers`` requests at a time: looked up
+  together, computed as soon as a worker is free, and handed back in request
+  order (to an optional callback) the moment they and every earlier request
+  are done, so a caller can checkpoint a long batch without a barrier;
+* the **response cache** — one batched lookup per window, every distinct
+  content key computed at most once per batch, one batched write of the
+  fresh results before they are handed back;
 * **provenance** — every response records whether it was a cache ``hit`` or
   ``miss`` (or ``disabled``) and under which content key;
 * **observation** — per-request phase traces and latency histograms; pool
@@ -21,14 +27,20 @@ function, a pool-side *runner* and, optionally, a per-chunk job context.  A
 runner is a module-level context manager: ``runner(context)`` sets one chunk
 up and yields ``execute(request, extra)`` for each of its jobs, ``extra``
 being the job's share of the context.  Responses are bit-identical at any
-worker count and chunk size, because every execute function is pure in the
-request's content.
+worker count, chunk size and window, because every execute function is pure
+in the request's content.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -51,6 +63,9 @@ from repro.service.messages import CACHE_DISABLED, CACHE_HIT, CACHE_MISS
 
 #: Default of a service's ``cache`` argument (``None`` disables the cache).
 CACHE_DEFAULT: Any = object()
+
+#: Requests a batch may have looked up but not yet handed back, per worker.
+WINDOW_PER_WORKER = 8
 
 
 def slim_request(request: Any, scenarios: Dict[str, Any]) -> Any:
@@ -187,6 +202,9 @@ class BatchCore:
         self.response_class = response_class
         self.n_workers = n_workers
         self.chunksize = chunksize
+        #: The most requests a batch has looked up (and submitted) but not yet
+        #: handed back — and so the most work an interrupt can lose.
+        self.window = WINDOW_PER_WORKER * n_workers
         self._execute = execute
         self._runner = runner
         self._job_context = job_context
@@ -260,7 +278,11 @@ class BatchCore:
 
     # -- batches -----------------------------------------------------------------
 
-    def submit_batch(self, requests: Iterable[Any]) -> List[Any]:
+    def submit_batch(
+        self,
+        requests: Iterable[Any],
+        on_response: Optional[Callable[[int, Any], None]] = None,
+    ) -> List[Any]:
         """Execute a batch; responses are returned in request order.
 
         Cached and duplicate requests are not recomputed: every distinct
@@ -269,122 +291,186 @@ class BatchCore:
         (``hit``/``miss``/``disabled``).  Per-request phase breakdowns land in
         :attr:`last_traces` and the phase latency histograms of
         :attr:`registry`; responses carry none of it.
+
+        The batch streams through a window of :attr:`window` requests: keys
+        are looked up a window at a time, and a pool worker that finishes a
+        job finds the next one already queued, so no worker waits for a batch
+        boundary.  ``on_response(position, response)`` is called once per
+        response, in request order, as soon as that response and every
+        earlier one are done — and only after a freshly computed result is
+        persisted, so the cache holds everything a caller has recorded.  At
+        most :attr:`window` requests are ever looked up but undelivered: that
+        is the most an interrupt, or an exception from ``on_response``, can
+        lose.  Either cancels the undelivered pool jobs and propagates.
         """
-        requests = list(requests)
-        responses: List[Any] = [None] * len(requests)
-        keys = [request.content_key() for request in requests]
-        traces = [Trace() for _ in requests]
-        kind = self.kind
-
-        # One batched lookup covers the whole batch: each distinct key goes to
-        # the cache (and its backend) exactly once, however often it repeats.
-        # Hit/miss statistics still count per position, and each position's
-        # trace carries an equal share of the lookup so phase totals match.
-        lookup_started = time.monotonic()
-        found = self.cache.get_many(keys) if self.cache is not None else {}
-        lookup_share = (
-            (time.monotonic() - lookup_started) / len(requests) if requests else 0.0
-        )
-
-        # Key -> positions still to answer, in first-seen order.
-        pending: Dict[str, List[int]] = {}
-        for position, (request, key) in enumerate(zip(requests, keys)):
-            trace = traces[position]
-            trace.add_phase(PHASE_CACHE_LOOKUP, lookup_share)
-            observe_phases(self.registry, kind, trace.phases[-1:])
-            cached = found.get(key)
-            if cached is not None:
-                responses[position] = self.response_class.from_result_dict(
-                    cached, request_id=request.request_id, cache=CACHE_HIT, cache_key=key
-                )
-            else:
-                pending.setdefault(key, []).append(position)
-
-        computed = self._execute_unique(
-            [
-                (key, requests[positions[0]], traces[positions[0]])
-                for key, positions in pending.items()
-            ]
-        )
-
-        # Mirror image of the lookup: all freshly computed results persist in
-        # one batched write (one SQLite transaction), each leader trace taking
-        # an equal share of the store phase.
-        store_share = 0.0
-        if self.cache is not None and pending:
-            store_started = time.monotonic()
-            self.cache.put_many(
-                [(key, computed[key].result_dict()) for key in pending]
-            )
-            store_share = (time.monotonic() - store_started) / len(pending)
-        for key, positions in pending.items():
-            base = computed[key]
-            if self.cache is not None:
-                leader_trace = traces[positions[0]]
-                leader_trace.add_phase(PHASE_STORE, store_share)
-                observe_phases(self.registry, kind, leader_trace.phases[-1:])
-            for occurrence, position in enumerate(positions):
-                if self.cache is None:
-                    status = CACHE_DISABLED
+        batch = _Batch(requests)
+        # A lone request runs in-process: a pool task would only add a round
+        # trip (and possibly the pool's start-up) to the same computation.
+        inline = self.n_workers == 1 or batch.size == 1
+        try:
+            while batch.delivered < batch.size:
+                # Refill once half the window is free (or the rest fits): each
+                # lookup stays batched, and the pool never runs dry.
+                end = min(batch.size, batch.delivered + self.window)
+                if batch.looked_up < batch.size and end - batch.looked_up >= min(
+                    self.window // 2, batch.size - batch.looked_up
+                ):
+                    work = self._look_up(batch, end)
+                    if inline:
+                        for position in work:
+                            self._execute_inline(batch, position)
+                    else:
+                        self._submit_chunks(batch, work)
+                    continue
+                ready = batch.delivered
+                while ready < batch.looked_up and batch.is_done(ready):
+                    ready += 1
+                if ready > batch.delivered:
+                    self._deliver(batch, ready, on_response)
                 else:
-                    status = CACHE_MISS if occurrence == 0 else CACHE_HIT
-                responses[position] = replace(
-                    base,
-                    request_id=requests[position].request_id,
-                    cache=status,
-                    cache_key=key,
-                )
-        for response in responses:
-            self.registry.counter_inc(
-                REQUESTS_TOTAL,
-                help="Requests answered, by kind and cache status.",
-                kind=kind,
-                cache=response.cache,
-            )
+                    self._collect(batch)
+        except BaseException:
+            for future in batch.in_flight:
+                future.cancel()
+            raise
         # Serial-path executions ran memo caches in this process; fold their
         # hit/miss deltas into the registry (pooled chunks already shipped
         # theirs inside the merged snapshots).
         drain_memo_metrics(self.registry)
-        self.last_traces = [trace.to_dict() for trace in traces]
-        return responses
+        self.last_traces = [trace.to_dict() for trace in batch.traces]
+        return batch.responses
 
-    def _execute_unique(self, work) -> Dict[str, Any]:
-        """Execute one request per distinct content key; phases land on the
-        leader's trace (``work`` is ``(key, request, trace)`` triples)."""
-        if not work:
-            return {}
-        if self.n_workers == 1 or len(work) == 1:
-            results = []
-            for _, request, trace in work:
-                before = len(trace.phases)
-                with activate(trace):
-                    results.append(self._execute(request))
-                observe_phases(self.registry, self.kind, trace.phases[before:])
-        else:
-            submitted = time.monotonic()
-            chunksize = self.chunksize or max(1, len(work) // (self.n_workers * 4))
-            executor = self.executor()
-            futures = []
-            for start in range(0, len(work), chunksize):
-                chunk = work[start : start + chunksize]
-                payload = self._chunk_payload(
-                    [request for _, request, _ in chunk],
-                    [trace.trace_id for _, _, trace in chunk],
-                    submitted,
+    def _look_up(self, batch: "_Batch", end: int) -> List[int]:
+        """Answer positions up to ``end`` from the cache and the batch so far;
+        returns the positions to compute (one per new distinct key).
+
+        One batched lookup covers the window, and only for keys the batch has
+        not seen yet: each goes to the cache (and its backend) once, however
+        often it repeats.  Hit/miss statistics count per looked-up position,
+        and every position's trace carries an equal share of the lookup so
+        phase totals match.
+        """
+        positions = range(batch.looked_up, end)
+        batch.looked_up = end
+        keys = batch.keys
+        unseen = [
+            keys[position]
+            for position in positions
+            if keys[position] not in batch.found and keys[position] not in batch.leaders
+        ]
+        lookup_started = time.monotonic()
+        if self.cache is not None and unseen:
+            batch.found.update(self.cache.get_many(unseen))
+        lookup_share = (time.monotonic() - lookup_started) / len(positions)
+        work: List[int] = []
+        for position in positions:
+            trace = batch.traces[position]
+            trace.add_phase(PHASE_CACHE_LOOKUP, lookup_share)
+            observe_phases(self.registry, self.kind, trace.phases[-1:])
+            key = keys[position]
+            if key in batch.found:
+                batch.responses[position] = self.response_class.from_result_dict(
+                    batch.found[key],
+                    request_id=batch.requests[position].request_id,
+                    cache=CACHE_HIT,
+                    cache_key=key,
                 )
-                futures.append(executor.submit(run_chunk, payload))
-            results = []
-            for future in futures:
-                outcomes, snapshot = future.result()
-                # The worker already observed its phases (queue-wait and
-                # compute) into the shipped snapshot; merging it here is what
-                # makes pooled totals equal serial totals.
-                self.registry.merge(snapshot)
-                for response, trace_dict in outcomes:
-                    work[len(results)][2].phases.extend(trace_dict["phases"])
-                    results.append(response)
-        self.computed += len(results)
-        return {key: result for (key, _, _), result in zip(work, results)}
+            elif key not in batch.leaders:
+                batch.leaders[key] = position
+                work.append(position)
+        return work
+
+    def _execute_inline(self, batch: "_Batch", position: int) -> None:
+        """Execute one request in this process; its phases land on its trace."""
+        trace = batch.traces[position]
+        before = len(trace.phases)
+        with activate(trace):
+            batch.computed[batch.keys[position]] = self._execute(batch.requests[position])
+        observe_phases(self.registry, self.kind, trace.phases[before:])
+        self.computed += 1
+
+    def _submit_chunks(self, batch: "_Batch", work: List[int]) -> None:
+        """Queue ``work`` (positions) on the pool, ``chunksize`` jobs per task."""
+        executor = self.executor()
+        # By default a full window makes four chunks per worker: few enough
+        # to keep the per-chunk overhead down, enough to keep every worker fed.
+        chunksize = self.chunksize or WINDOW_PER_WORKER // 4
+        for start in range(0, len(work), chunksize):
+            positions = work[start : start + chunksize]
+            payload = self._chunk_payload(
+                [batch.requests[position] for position in positions],
+                [batch.traces[position].trace_id for position in positions],
+                time.monotonic(),
+            )
+            batch.in_flight[executor.submit(run_chunk, payload)] = positions
+
+    def _collect(self, batch: "_Batch") -> None:
+        """Wait for at least one pool task and take in its responses."""
+        done, _ = wait(batch.in_flight, return_when=FIRST_COMPLETED)
+        for future in done:
+            positions = batch.in_flight.pop(future)
+            outcomes, snapshot = future.result()
+            # The worker already observed its phases (queue-wait and compute)
+            # into the shipped snapshot; merging it here is what makes pooled
+            # totals equal serial totals.
+            self.registry.merge(snapshot)
+            for position, (response, trace) in zip(positions, outcomes):
+                batch.traces[position].phases.extend(trace["phases"])
+                batch.computed[batch.keys[position]] = response
+            self.computed += len(positions)
+
+    def _deliver(
+        self, batch: "_Batch", end: int, on_response: Optional[Callable[[int, Any], None]]
+    ) -> None:
+        """Stamp and hand back the done positions up to ``end``, in order.
+
+        Their fresh results persist first, in one batched write (one SQLite
+        transaction), each leader trace taking an equal share of the store
+        phase.
+        """
+        positions = range(batch.delivered, end)
+        keys = batch.keys
+        fresh = [
+            position
+            for position in positions
+            if batch.responses[position] is None and batch.leaders[keys[position]] == position
+        ]
+        if self.cache is not None and fresh:
+            store_started = time.monotonic()
+            self.cache.put_many(
+                [
+                    (keys[position], batch.computed[keys[position]].result_dict())
+                    for position in fresh
+                ]
+            )
+            store_share = (time.monotonic() - store_started) / len(fresh)
+            for position in fresh:
+                trace = batch.traces[position]
+                trace.add_phase(PHASE_STORE, store_share)
+                observe_phases(self.registry, self.kind, trace.phases[-1:])
+        for position in positions:
+            response = batch.responses[position]
+            if response is None:
+                key = keys[position]
+                if self.cache is None:
+                    status = CACHE_DISABLED
+                else:
+                    status = CACHE_MISS if batch.leaders[key] == position else CACHE_HIT
+                response = batch.responses[position] = replace(
+                    batch.computed[key],
+                    request_id=batch.requests[position].request_id,
+                    cache=status,
+                    cache_key=key,
+                )
+            self.registry.counter_inc(
+                REQUESTS_TOTAL,
+                help="Requests answered, by kind and cache status.",
+                kind=self.kind,
+                cache=response.cache,
+            )
+            batch.delivered = position + 1
+            if on_response is not None:
+                on_response(position, response)
 
     # -- introspection -----------------------------------------------------------
 
@@ -425,3 +511,31 @@ class BatchCore:
         return merge_snapshots(
             registry.snapshot() for registry in self.metrics_registries(*linked)
         )
+
+
+class _Batch:
+    """The bookkeeping of one :meth:`BatchCore.submit_batch` call.
+
+    Positions ``[0, delivered)`` are handed back, ``[delivered, looked_up)``
+    are looked up and answered or in flight, the rest are untouched.
+    """
+
+    def __init__(self, requests: Iterable[Any]):
+        self.requests = list(requests)
+        self.size = len(self.requests)
+        self.keys = [request.content_key() for request in self.requests]
+        self.traces = [Trace() for _ in self.requests]
+        self.responses: List[Any] = [None] * self.size
+        #: The cached result of every key a lookup found.
+        self.found: Dict[str, Dict[str, Any]] = {}
+        #: The first position of every key the batch computes...
+        self.leaders: Dict[str, int] = {}
+        #: ...and that key's response once it is back.
+        self.computed: Dict[str, Any] = {}
+        #: Pool tasks not yet collected, with the positions they compute.
+        self.in_flight: Dict[Future, List[int]] = {}
+        self.looked_up = 0
+        self.delivered = 0
+
+    def is_done(self, position: int) -> bool:
+        return self.responses[position] is not None or self.keys[position] in self.computed

@@ -242,10 +242,12 @@ class SchedulingService:
         *within* one batch are still computed only once (the execution path
         is pure, so recomputing them could never change the answer).
     chunksize:
-        Jobs per pool chunk for batch dispatch; ``None`` (the default)
-        derives ``max(1, unique_jobs // (n_workers * 4))`` per batch.  Each
-        chunk ships its distinct scenario envelopes once, however many jobs
-        reference them.  Responses are bit-identical at any chunk size.
+        Jobs per pool chunk for batch dispatch; ``None`` (the default) sends
+        two, so a full window is four chunks per worker; a chunk never
+        spans more than one window refill (see
+        :class:`~repro.service.batch.BatchCore`).  Each chunk ships its
+        distinct scenario envelopes once, however many jobs reference them.
+        Responses are bit-identical at any chunk size.
 
     Use the service as a context manager (or call :meth:`close`) to release
     the worker pool.
@@ -300,9 +302,13 @@ class SchedulingService:
         """Execute one request (through the cache)."""
         return self.submit_batch([request])[0]
 
-    def submit_batch(self, requests: Iterable[ScheduleRequest]) -> List[ScheduleResponse]:
+    def submit_batch(
+        self,
+        requests: Iterable[ScheduleRequest],
+        on_response: Optional[Callable[[int, ScheduleResponse], None]] = None,
+    ) -> List[ScheduleResponse]:
         """Execute a batch through the cache; see :meth:`BatchCore.submit_batch`."""
-        return self.core.submit_batch(requests)
+        return self.core.submit_batch(requests, on_response)
 
     def execute_in_pool(self, request: ScheduleRequest) -> "Future[ScheduleResponse]":
         """Submit one request to the worker pool; returns its future.

@@ -6,10 +6,12 @@ from repro.campaign import (
     CAMPAIGN_JOURNAL_FILENAME,
     CampaignRunner,
     CampaignSpec,
+    RuntimeSpec,
     cell_request,
     load_campaign_records,
     run_campaign,
 )
+from repro.runtime import SimulationService
 from repro.service import SchedulingService, execute_request
 
 
@@ -109,6 +111,56 @@ class TestResume:
             tmp_path / "ref" / small_spec.content_key() / CAMPAIGN_JOURNAL_FILENAME
         ).read_bytes()
         assert final.report().to_json() == reference.report().to_json()
+
+    @pytest.mark.parametrize("delivered", [3, 9])
+    def test_interrupted_pooled_campaign_resumes_to_the_same_journal(
+        self, tmp_path, monkeypatch, delivered
+    ):
+        # 6 schedule cells then 6 run-time cells at 2 workers; the interrupt
+        # hits after `delivered` cells were handed back (9 lands in the
+        # run-time grid).
+        spec = CampaignSpec(
+            name="pooled-resume",
+            scenarios=("short-hyperperiod",),
+            methods=("static", "gpiocp"),
+            n_systems=3,
+            runtime=RuntimeSpec(execution_models=("dedicated-controller",)),
+        )
+        journal = lambda d: d / spec.content_key() / CAMPAIGN_JOURNAL_FILENAME  # noqa: E731
+        run_campaign(spec, artifact_dir=tmp_path / "whole", n_workers=2)
+
+        handed_back = []
+
+        def interrupting(original):
+            def submit_batch(self, requests, on_response=None):
+                if on_response is None:
+                    return original(self, requests)
+
+                def hook(position, response):
+                    if len(handed_back) == delivered:
+                        raise KeyboardInterrupt
+                    handed_back.append(position)
+                    on_response(position, response)
+
+                return original(self, requests, on_response=hook)
+
+            return submit_batch
+
+        for service_class in (SchedulingService, SimulationService):
+            monkeypatch.setattr(
+                service_class, "submit_batch", interrupting(service_class.submit_batch)
+            )
+        with CampaignRunner(spec, artifact_dir=tmp_path / "cut", n_workers=2) as runner:
+            with pytest.raises(KeyboardInterrupt):
+                runner.run()
+        monkeypatch.undo()
+        assert len(journal(tmp_path / "cut").read_text().splitlines()) == delivered
+
+        with CampaignRunner(spec, artifact_dir=tmp_path / "cut", n_workers=2) as runner:
+            result = runner.run()
+        assert result.complete
+        assert (result.resumed, result.evaluated) == (delivered, 12 - delivered)
+        assert journal(tmp_path / "cut").read_bytes() == journal(tmp_path / "whole").read_bytes()
 
     def test_different_spec_gets_a_different_directory(self, small_spec, tmp_path):
         run_campaign(small_spec, artifact_dir=tmp_path)

@@ -1,6 +1,8 @@
 """Unit tests for the controller memory, scheduling table and channels."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import (
     ControllerMemory,
@@ -94,6 +96,47 @@ class TestSchedulingTable:
         table = SchedulingTable()
         table.load_many([TableEntry("a", 0, 100), TableEntry("b", 0, 150), TableEntry("a", 1, 300)])
         assert len(table.entries_for("a")) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("load"),
+                    st.sampled_from("abc"),
+                    st.integers(0, 3),
+                    st.integers(0, 5),
+                ),
+                st.tuples(st.just("due"), st.integers(-1, 6)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_due_entries_match_the_sorted_table(self, operations):
+        # The start-time index must answer exactly what filtering the
+        # start-time-sorted table would, across loads after queries and
+        # entries replaced under the same key with a new start time.
+        table = SchedulingTable()
+        for operation in operations:
+            if operation[0] == "load":
+                _, task, job, start = operation
+                table.load(TableEntry(task, job, start))
+            else:
+                time = operation[1]
+                expected = [entry for entry in table.entries() if entry.start_time == time]
+                assert table.due_entries(time) == expected
+        for time in range(-1, 7):
+            assert table.due_entries(time) == [
+                entry for entry in table.entries() if entry.start_time == time
+            ]
+
+    def test_replacing_an_entry_moves_it_between_start_times(self):
+        table = SchedulingTable()
+        table.load_many([TableEntry("b", 0, 100), TableEntry("a", 0, 100)])
+        assert [e.task_name for e in table.due_entries(100)] == ["a", "b"]
+        table.load(TableEntry("a", 0, 200))
+        assert [e.task_name for e in table.due_entries(100)] == ["b"]
+        assert table.due_entries(200) == [TableEntry("a", 0, 200)]
 
 
 class TestChannels:

@@ -10,6 +10,7 @@ from repro.noc import (
     Router,
     worst_case_latency,
 )
+from repro.noc.routing import xy_route
 
 
 class TestRouter:
@@ -68,6 +69,24 @@ class TestNoCNetwork:
         solo.send(alone, 0)
         assert second.latency > alone.latency
         assert network.total_blocking() > 0
+
+    def test_routes_are_reused_per_source_and_destination(self):
+        mesh = MeshTopology(4, 4)
+        network = NoCNetwork(mesh)
+        first = Packet((0, 0), (3, 2), size_flits=4)
+        second = Packet((0, 0), (3, 2), size_flits=4)
+        network.send(first, 0)
+        network.send(second, 1000)
+        assert first.latency == second.latency
+        assert network._routes == {((0, 0), (3, 2)): xy_route((0, 0), (3, 2), mesh)}
+
+    @pytest.mark.parametrize("source, destination", [((0, 0), (4, 0)), ((5, 5), (0, 0))])
+    def test_out_of_mesh_nodes_are_rejected_on_every_send(self, source, destination):
+        network = NoCNetwork(MeshTopology(4, 4))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside the mesh"):
+                network.send(Packet(source, destination, size_flits=4), 0)
+        assert network._routes == {}
 
     def test_statistics(self):
         mesh = MeshTopology(3, 3)

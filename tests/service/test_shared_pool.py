@@ -181,28 +181,36 @@ class TestEnginePool:
         assert pooled[1].upsilon.series == serial[1].upsilon.series
         assert pooled[1].systems_evaluated == serial[1].systems_evaluated
 
-    def test_pooled_cells_are_journalled_chunk_by_chunk(self, tiny_config, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("delivered", [1, 5])
+    def test_pooled_cells_are_journalled_as_delivered(
+        self, tiny_config, tmp_path, monkeypatch, delivered
+    ):
         config = tiny_config.with_overrides(include_ga=False)
-        batches = []
         original = SchedulingService.submit_batch
 
-        def interrupt_on_second_batch(self, requests):
-            requests = list(requests)
-            batches.append(len(requests))
-            if len(batches) == 2:
-                raise KeyboardInterrupt
-            return original(self, requests)
+        def interrupt_after_delivered(self, requests, on_response=None):
+            seen = []
 
-        monkeypatch.setattr(SchedulingService, "submit_batch", interrupt_on_second_batch)
+            def hook(position, response):
+                if len(seen) == delivered:
+                    raise KeyboardInterrupt
+                seen.append(position)
+                on_response(position, response)
+
+            return original(self, requests, on_response=hook)
+
+        monkeypatch.setattr(SchedulingService, "submit_batch", interrupt_after_delivered)
         with ExperimentEngine(config, n_workers=2, artifact_dir=str(tmp_path)) as engine:
             with pytest.raises(KeyboardInterrupt):
                 engine.schedulability_sweep()
-            assert engine.cells_computed == batches[0] == 2 * 4
+            assert engine.cells_computed == delivered
+            journal = engine.store.directory / engine.store.CELLS_FILENAME
+            assert len(journal.read_text().splitlines()) == delivered
         monkeypatch.setattr(SchedulingService, "submit_batch", original)
         with ExperimentEngine(config, n_workers=2, artifact_dir=str(tmp_path)) as engine:
             resumed = engine.schedulability_sweep()
             n_cells = 2 * 3 * len(engine.schedulability_methods())
-            assert engine.cells_computed == n_cells - batches[0]
+            assert engine.cells_computed == n_cells - delivered
         with ExperimentEngine(config, n_workers=1) as engine:
             assert resumed.series == engine.schedulability_sweep().series
 
