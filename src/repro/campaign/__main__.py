@@ -55,6 +55,7 @@ from typing import List, Optional, Sequence
 
 from repro.campaign.report import CampaignReport
 from repro.campaign.timings import format_timings_table, read_timing_entries
+from repro.cli import add_pool_and_cache_arguments, check_pool_and_cache_arguments
 from repro.core import logging as relog
 from repro.campaign.runner import (
     CAMPAIGN_SPEC_FILENAME,
@@ -193,30 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="root directory for campaign artifacts (spec + cell journal); "
         "required for --resume",
     )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes of the scheduling service (default: 1); "
-        "results are bit-identical at any worker count",
-    )
-    run.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent content-addressed schedule cache shared with other "
-        "service consumers (omit to cache in memory for this run only)",
-    )
-    run.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="storage backend for the persistent caches, as a 'name:key=value' "
-        "spec string — e.g. 'sqlite:path=cache.db' holds the schedule and "
-        "simulation caches in one file, safe to share between concurrent "
-        "shard workers (see `python -m repro.store --list-backends`).  "
-        "Conflicts with --cache-dir",
+    add_pool_and_cache_arguments(
+        run,
+        cache_dir_help="persistent content-addressed schedule cache shared with "
+        "other service consumers (omit to cache in memory for this run only)",
     )
     run.add_argument(
         "--shard",
@@ -441,14 +422,11 @@ def _write_runner_metrics(path: str, runner: CampaignRunner) -> None:
 
 
 def cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+    check_pool_and_cache_arguments(parser, args)
     if args.resume and args.artifact_dir is None:
         parser.error("--resume requires --artifact-dir")
     if args.max_cells is not None and args.max_cells < 1:
         parser.error(f"--max-cells must be >= 1, got {args.max_cells}")
-    if args.cache_dir is not None and args.cache_backend is not None:
-        parser.error("pass either --cache-dir or --cache-backend, not both")
     if args.timings and args.artifact_dir is None:
         parser.error("--timings requires --artifact-dir (the sidecar's home)")
     shard = None

@@ -5,10 +5,10 @@ The runner expands a :class:`~repro.campaign.spec.CampaignSpec` into
 grid, through one shared :class:`~repro.service.SchedulingService` — reusing
 its worker pool, in-batch dedup and content-addressed schedule cache — while
 checkpointing every finished cell to a ``campaign.jsonl`` journal under a
-directory keyed by the campaign's content key (the same discipline as
-:class:`repro.experiments.artifacts.ArtifactStore`).  The service hands the
+directory keyed by the campaign's content key.  The service hands the
 responses back in grid order as they finish, each already in its cache, so
-an interrupt loses at most the service's window (``8 * n_workers`` cells)
+an interrupt loses at most the service's window (``8 * n_workers`` cells;
+none at ``n_workers=1``, which hands back each cell as it is computed)
 and an interrupted campaign re-launched with the same spec resumes with
 **zero** recomputed journalled cells.  Because cells are journalled in the
 spec's canonical grid order, the journal — and any report built from it — is

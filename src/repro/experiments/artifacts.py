@@ -1,36 +1,36 @@
-"""Persistent, versioned experiment artifacts and the resumable cell cache.
+"""Persistent, versioned experiment artifacts and the artifact-directory layout.
 
 Two kinds of state are persisted under an artifact directory:
 
 * **Sweep results** — completed :class:`~repro.experiments.results.SweepResult`
   / :class:`~repro.experiments.results.AccuracySweepResult` values, written as
   versioned JSON (see :mod:`repro.core.serialization`) so they can be plotted,
-  diffed or reloaded without re-running anything.
-* **Evaluation cells** — the per-``(utilisation, system, method)`` outcomes the
-  engine computes, appended to a ``cells.jsonl`` journal as they complete.  A
-  sweep interrupted mid-run resumes from the journal: already-finished cells
-  are served from disk and only the remainder is recomputed.
-
-Artifacts are *content-keyed*: every store lives in a subdirectory named by a
-hash of the cell-relevant configuration (base seed, generator parameters, GA
-budget), so runs with different configurations can share one artifact root
-without ever mixing results.  Sweep-shape parameters (which utilisation points,
-how many systems, worker count) deliberately do not enter the key — a cell's
-value does not depend on them, so enlarging a sweep reuses every cell already
-computed.
+  diffed or reloaded without re-running anything.  They live in a
+  subdirectory named by a hash of the cell-relevant configuration (base seed,
+  generator parameters, GA budget), next to a ``config.json`` that records
+  the configuration, so runs with different configurations can share one
+  artifact root without ever mixing results.
+* **Evaluation cells** — the per-``(utilisation, system, method)`` outcomes
+  the engine computes, held by the scheduling service's content-addressed
+  schedule cache in one SQLite file at the root,
+  ``<artifact dir>/cells.db`` (see :mod:`repro.store`).  Every computed
+  cell is persisted as soon as it is done, so a sweep interrupted mid-run
+  resumes with only the remainder recomputed.  A cell's key is the content of
+  its schedule request, so every configuration, sweep shape and worker count
+  that asks the same question shares the answer — enlarging a sweep reuses
+  every cell already computed.  ``cells.jsonl`` journals of older versions are
+  not read; their cells are recomputed once.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.serialization import (
     atomic_write_json,
-    canonical_json,
     content_hash,
     parse_versioned_payload,
     versioned_payload,
@@ -46,9 +46,6 @@ TABLE1_KIND = "repro/table1"
 TABLE1_VERSION = 1
 CELL_CACHE_KIND = "repro/cell-cache"
 CELL_CACHE_VERSION = 1
-
-#: Key of one cached evaluation cell: (utilisation, system index, method).
-CellKey = Tuple[float, int, str]
 
 
 # -- sweep results as versioned JSON -------------------------------------------
@@ -132,8 +129,8 @@ def cell_config_dict(config: ExperimentConfig) -> Dict[str, Any]:
     """The configuration subset that determines individual cell values.
 
     The scenario key is only present for scenario-backed configurations, so
-    fingerprints (and therefore cell caches) of legacy configurations are
-    unchanged by the scenario API's introduction.
+    fingerprints (and therefore artifact directories) of legacy
+    configurations are unchanged by the scenario API's introduction.
     """
     data = {
         "seed": config.seed,
@@ -146,7 +143,7 @@ def cell_config_dict(config: ExperimentConfig) -> Dict[str, Any]:
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
-    """Stable content key for ``config``'s cell cache (hex digest)."""
+    """Stable content key of ``config``'s artifact subdirectory (hex digest)."""
     return content_hash(
         {
             "kind": CELL_CACHE_KIND,
@@ -160,15 +157,15 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 
 
 class ArtifactStore:
-    """Directory-backed store for one configuration's cells and sweep results.
+    """Directory-backed store for one configuration's sweep results.
 
-    The store is safe to reopen after a crash or Ctrl-C: cells are appended to
-    a journal (``cells.jsonl``) and flushed per line, and a truncated trailing
-    line (a write cut short by the interruption) is ignored on load.  Completed
-    sweep artifacts are written atomically via a rename.
+    Sweep artifacts are written atomically via a rename, so the store is safe
+    to reopen after a crash or Ctrl-C.  The cells the sweeps are built from
+    live in :attr:`CELL_CACHE_FILENAME` at the artifact root, the engine's
+    schedule cache.
     """
 
-    CELLS_FILENAME = "cells.jsonl"
+    CELL_CACHE_FILENAME = "cells.db"
     CONFIG_FILENAME = "config.json"
 
     def __init__(self, root: Union[str, Path], config: ExperimentConfig):
@@ -176,66 +173,7 @@ class ArtifactStore:
         self.fingerprint = config_fingerprint(config)
         self.directory = self.root / self.fingerprint
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._cells: Dict[CellKey, Dict[str, Any]] = {}
-        self._cells_path = self.directory / self.CELLS_FILENAME
-        self._journal: Optional[io.TextIOWrapper] = None
         self._write_config(config)
-        self._load_cells()
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-
-    def __enter__(self) -> "ArtifactStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- cells -------------------------------------------------------------------
-
-    def get_cell(self, key: CellKey) -> Optional[Dict[str, Any]]:
-        """The cached record for ``key``, or ``None`` on a cache miss."""
-        return self._cells.get(key)
-
-    def put_cell(self, key: CellKey, record: Dict[str, Any]) -> None:
-        """Cache ``record`` under ``key`` and append it to the journal."""
-        if key in self._cells:
-            return
-        self._cells[key] = record
-        utilisation, system_index, method = key
-        line = canonical_json(
-            {"u": utilisation, "i": system_index, "m": method, "r": record}
-        )
-        if self._journal is None:
-            self._journal = open(self._cells_path, "a", encoding="utf-8")
-        self._journal.write(line + "\n")
-        self._journal.flush()
-
-    @property
-    def cell_count(self) -> int:
-        return len(self._cells)
-
-    def _load_cells(self) -> None:
-        if not self._cells_path.exists():
-            return
-        with open(self._cells_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key = (float(entry["u"]), int(entry["i"]), str(entry["m"]))
-                    record = entry["r"]
-                except (ValueError, KeyError, TypeError):
-                    # A truncated/corrupt line: almost certainly the final write
-                    # of an interrupted run.  The cell will simply be recomputed.
-                    continue
-                self._cells[key] = record
 
     # -- whole-sweep artifacts ---------------------------------------------------
 
@@ -255,7 +193,7 @@ class ArtifactStore:
     # -- internals ---------------------------------------------------------------
 
     def _write_config(self, config: ExperimentConfig) -> None:
-        """Record the full configuration next to the cache for humans/tooling."""
+        """Record the full configuration next to the sweep results for humans/tooling."""
         path = self.directory / self.CONFIG_FILENAME
         if path.exists():
             return

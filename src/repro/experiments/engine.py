@@ -2,12 +2,16 @@
 
 The engine decomposes every sweep into independent **evaluation cells** — one
 :class:`EvalJob` per ``(utilisation, system index, method)`` — and executes
-them serially in-process (``n_workers=1``) or as schedule requests on the
-worker pool of a :class:`~repro.service.SchedulingService`.  Each cell
-regenerates its system from the per-``(utilisation, system)`` deterministic
-seed, so a cell's value depends only on the configuration and the cell
-coordinates: results are bit-identical at any worker count, and cells can be
-cached on disk and reused across runs (see :mod:`repro.experiments.artifacts`).
+each batch of them as schedule requests through one
+:class:`~repro.service.SchedulingService` (in-process at ``n_workers=1``, on
+its worker pool otherwise).  Each cell regenerates its system from the
+per-``(utilisation, system)`` deterministic seed, so a cell's value depends
+only on the configuration and the cell coordinates: results are
+bit-identical at any worker count.  With an artifact directory the service's
+content-addressed schedule cache persists every cell as it is computed, in
+one SQLite file shared by every configuration (see
+:mod:`repro.experiments.artifacts`), so an interrupted sweep resumes without
+recomputing a finished cell.
 
 Scheduling methods are resolved through the scheduler registry
 (:mod:`repro.scheduling.registry`); registering a new method makes it
@@ -16,7 +20,6 @@ available to every sweep without touching this module.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -42,12 +45,14 @@ from repro.scenario import Scenario, materialize
 # package at all.
 from repro.scheduling import FPSOnlineSchedulabilityMethod  # noqa: F401
 from repro.service import (
+    CACHE_HIT,
     ScheduleRequest,
     ScheduleResponse,
     SchedulerSpec,
     SchedulingService,
     execute_request,
 )
+from repro.store import SqliteBackend
 
 # Back-compat re-export: the best-per-objective aggregation moved into the
 # scheduling service alongside the rest of the response building.
@@ -57,9 +62,6 @@ from repro.taskgen import SystemGenerator
 #: Canonical method ordering used in result tables.
 SCHEDULABILITY_METHODS = ("fps-offline", "fps-online", "gpiocp", "static", "ga")
 ACCURACY_METHODS = ("fps", "gpiocp", "static", "ga")
-
-#: Method-name aliases folded together for cache keys ("fps" is "fps-offline").
-_CANONICAL_METHOD = {"fps": "fps-offline", "heuristic": "static"}
 
 #: Offset decorrelating the GA's derived RNG stream from the generator's.
 _GA_SEED_OFFSET = 1_000_003
@@ -97,15 +99,6 @@ class CellResult:
     best_psi: float
     best_upsilon: float
 
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "s": bool(self.schedulable),
-            "psi": self.psi,
-            "ups": self.upsilon,
-            "bpsi": self.best_psi,
-            "bups": self.best_upsilon,
-        }
-
     @classmethod
     def from_response(cls, response: ScheduleResponse) -> "CellResult":
         return cls(
@@ -114,16 +107,6 @@ class CellResult:
             upsilon=response.upsilon,
             best_psi=response.best_psi,
             best_upsilon=response.best_upsilon,
-        )
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "CellResult":
-        return cls(
-            schedulable=bool(record["s"]),
-            psi=float(record["psi"]),
-            upsilon=float(record["ups"]),
-            best_psi=float(record["bpsi"]),
-            best_upsilon=float(record["bups"]),
         )
 
 
@@ -156,7 +139,7 @@ def generate_system(
 
     Scenario-backed configurations draw from the scenario's workload (with the
     sweep utilisation pinned); legacy configurations keep the historical
-    ``seed``/``generator`` derivation, so existing cell caches stay valid.
+    ``seed``/``generator`` derivation, so their systems never change.
     """
     if config.scenario is not None:
         return materialize(
@@ -174,15 +157,18 @@ def generate_system(
 def cell_spec(config: ExperimentConfig, job: EvalJob) -> SchedulerSpec:
     """The fully-pinned scheduler spec one cell executes.
 
-    ``job.method`` is parsed as a spec string; for the GA, the configured
-    ``GAConfig`` supplies defaults under any options the spec pins, and the
-    RNG seed is derived from the cell seed whenever neither pins one — so GA
-    cells are as deterministic (and as worker-count-independent) as every
-    other method.
+    ``job.method`` is parsed as a spec string; the aliases ``fps`` and
+    ``heuristic`` become ``fps-offline`` and ``static``, so an alias's cells
+    share cache entries with its canonical name's.  For the GA, the
+    configured ``GAConfig`` supplies defaults under any options the spec
+    pins, and the RNG seed is derived from the cell seed whenever neither
+    pins one — so GA cells are as deterministic (and as
+    worker-count-independent) as every other method.
     """
     spec = SchedulerSpec.parse(job.method)
     if spec.name != "ga":
-        return spec
+        name = {"fps": "fps-offline", "heuristic": "static"}.get(spec.name, spec.name)
+        return SchedulerSpec(name, spec.options)
     options = asdict(config.ga)
     options.update(spec.options_dict())
     if options.get("seed") is None:
@@ -224,14 +210,15 @@ def evaluate_cell(config: ExperimentConfig, job: EvalJob) -> CellResult:
 
 
 class ExperimentEngine:
-    """Executes sweeps as parallel evaluation cells with optional persistence.
+    """Executes sweeps as batches of evaluation cells with optional persistence.
 
     Parameters default to what the configuration carries (``config.n_workers``
-    and ``config.artifact_dir``); both can be overridden per engine.  With
-    ``n_workers > 1`` cells run on the pool of a cache-less
-    :class:`~repro.service.SchedulingService` the engine starts on first use.
-    Use the engine as a context manager (or call :meth:`close`) to release the
-    worker pool and the artifact journal.
+    and ``config.artifact_dir``); both can be overridden per engine.  Cells
+    run through a :class:`~repro.service.SchedulingService` the engine starts
+    on first use: on ``n_workers`` pool workers (in-process at ``1``), with
+    its schedule cache in ``<artifact_dir>/cells.db`` when there is an
+    artifact directory and no cache otherwise.  Use the engine as a context
+    manager (or call :meth:`close`) to release the worker pool and the cache.
     """
 
     def __init__(
@@ -240,36 +227,33 @@ class ExperimentEngine:
         *,
         n_workers: Optional[int] = None,
         artifact_dir: Optional[str] = None,
-        store: Optional[ArtifactStore] = None,
     ):
         self.config = config or ExperimentConfig()
         self.n_workers = n_workers if n_workers is not None else self.config.n_workers
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         directory = artifact_dir if artifact_dir is not None else self.config.artifact_dir
-        if store is not None:
-            self.store: Optional[ArtifactStore] = store
-            self._owns_store = False
-        elif directory is not None:
-            self.store = ArtifactStore(directory, self.config)
-            self._owns_store = True
-        else:
-            self.store = None
-            self._owns_store = False
+        self.store: Optional[ArtifactStore] = (
+            ArtifactStore(directory, self.config) if directory is not None else None
+        )
         self._service: Optional[SchedulingService] = None
-        #: Cells actually evaluated (cache misses) over this engine's lifetime.
-        self.cells_computed = 0
         #: Cell counters and evaluate-latency histogram (kind="experiment").
         self.registry = MetricsRegistry()
+
+    @property
+    def cells_computed(self) -> int:
+        """Cells actually evaluated (cache misses) over this engine's lifetime."""
+        return self._service.computed if self._service is not None else 0
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
         if self._service is not None:
             self._service.close()
+            # The service does not close a backend it was handed.
+            if self._service.cache is not None:
+                self._service.cache.close()
             self._service = None
-        if self.store is not None and self._owns_store:
-            self.store.close()
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -280,52 +264,37 @@ class ExperimentEngine:
     # -- cell execution ----------------------------------------------------------
 
     def run_cells(self, jobs: Sequence[EvalJob]) -> Dict[EvalJob, CellResult]:
-        """Evaluate ``jobs``, serving cache hits from the artifact store.
+        """Evaluate ``jobs`` as one batch of schedule requests.
 
-        Results are keyed by the input jobs; freshly computed cells are
-        journalled to the store as they complete — pooled ones in request
-        order, as the service hands them back — so an interrupted call leaves
-        every journalled cell reusable.
+        Results are keyed by the input jobs.  With an artifact directory,
+        cached cells are answered from the cell cache and every freshly
+        computed cell is persisted before the service hands it back, so an
+        interrupted call leaves every computed cell reusable.
         """
+        if self._service is None:
+            if self.store is None:
+                self._service = SchedulingService(n_workers=self.n_workers, cache=None)
+            else:
+                # A live backend, not a spec string: the spec grammar cannot
+                # carry every path (a comma splits its options).
+                backend = SqliteBackend(self.store.root / ArtifactStore.CELL_CACHE_FILENAME)
+                self._service = SchedulingService(
+                    n_workers=self.n_workers, cache_backend=backend
+                )
         results: Dict[EvalJob, CellResult] = {}
-        pending: List[EvalJob] = []
-        for job in jobs:
-            cached = self._cache_get(job)
-            if cached is not None:
-                results[job] = cached
+
+        def record(position: int, response: ScheduleResponse) -> None:
+            results[jobs[position]] = CellResult.from_response(response)
+            if response.cache == CACHE_HIT:
                 self._count_cell("hit")
             else:
-                pending.append(job)
-
-        if not pending:
-            return results
-
-        if self.n_workers == 1:
-            for job in pending:
-                started = time.monotonic()
-                cell = evaluate_cell(self.config, job)
-                self._observe_evaluate(time.monotonic() - started)
-                self._record(job, cell)
-                results[job] = cell
-                self._count_cell("miss")
-        else:
-            if self._service is None:
-                self._service = SchedulingService(n_workers=self.n_workers, cache=None)
-
-            def record(position: int, response: ScheduleResponse) -> None:
-                job = pending[position]
-                # elapsed_s is the compute time measured in the worker.
+                # elapsed_s is the compute time, measured where the cell ran.
                 self._observe_evaluate(response.elapsed_s)
-                cell = CellResult.from_response(response)
-                self._record(job, cell)
-                results[job] = cell
                 self._count_cell("miss")
 
-            # One batch: cells are journalled as the service hands them back,
-            # so an interrupt loses at most the service's window of cells.
-            self._service.submit_batch(
-                [cell_request(self.config, job) for job in pending], on_response=record
-            )
+        self._service.submit_batch(
+            [cell_request(self.config, job) for job in jobs], on_response=record
+        )
         return results
 
     def _count_cell(self, cache: str) -> None:
@@ -348,28 +317,6 @@ class ExperimentEngine:
     def metrics(self) -> Dict[str, Any]:
         """A merged metrics snapshot of this engine (see :mod:`repro.obs`)."""
         return self.registry.snapshot()
-
-    def _cache_key(self, job: EvalJob):
-        # Canonicalise the method so aliases and differently-ordered spec
-        # strings ("ga:b=1,a=2" vs "ga:a=2,b=1") share one cache entry.  Bare
-        # canonical names map to themselves, keeping old journals readable.
-        spec = SchedulerSpec.parse(job.method)
-        name = _CANONICAL_METHOD.get(spec.name, spec.name)
-        method = str(SchedulerSpec(name, spec.options))
-        return (job.utilisation, job.system_index, method)
-
-    def _cache_get(self, job: EvalJob) -> Optional[CellResult]:
-        if self.store is None:
-            return None
-        record = self.store.get_cell(self._cache_key(job))
-        if record is None:
-            return None
-        return CellResult.from_record(record)
-
-    def _record(self, job: EvalJob, cell: CellResult) -> None:
-        self.cells_computed += 1
-        if self.store is not None:
-            self.store.put_cell(self._cache_key(job), cell.to_record())
 
     # -- the sweeps --------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 The runner is a thin facade over :class:`repro.experiments.engine.ExperimentEngine`:
 sweeps are decomposed into per-``(utilisation, system, method)`` evaluation
 cells, executed serially or across a worker pool (``config.n_workers``) and —
-when ``config.artifact_dir`` is set — journalled to a resumable on-disk cache.
+when ``config.artifact_dir`` is set — persisted in a resumable on-disk cache.
 Per-``(utilisation, system)`` deterministic seeding makes the aggregated
 series bit-identical at any worker count.
 

@@ -38,6 +38,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
+from repro.cli import add_pool_and_cache_arguments, check_pool_and_cache_arguments
 from repro.core import logging as relog
 from repro.runtime.messages import SimulationRequest
 from repro.runtime.models import (
@@ -136,31 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="response JSONL file (default: stdout)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the batch (default: 1); responses are "
-        "bit-identical at any worker count",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for the persistent caches: simulation responses under "
-        f"{SIM_CACHE_SUBDIR}/, offline schedules under {SCHEDULE_CACHE_SUBDIR}/ "
-        "(omit to cache in memory for this batch only)",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="storage backend for both persistent caches, as a "
-        "'name:key=value' spec string — e.g. 'sqlite:path=cache.db' (one "
-        "file holds both caches) or 'directory:root=DIR' (equivalent to "
-        "--cache-dir DIR).  Conflicts with --cache-dir; see "
-        "`python -m repro.store --list-backends`",
+    add_pool_and_cache_arguments(
+        parser,
+        cache_dir_help="directory for the persistent caches: simulation responses "
+        f"under {SIM_CACHE_SUBDIR}/, offline schedules under "
+        f"{SCHEDULE_CACHE_SUBDIR}/ (omit to cache in memory for this batch only)",
     )
     parser.add_argument(
         "-v",
@@ -237,8 +218,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.list_scenarios:
             print(format_scenario_listing())
         return 0
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+    check_pool_and_cache_arguments(parser, args)
     if (args.input is None) == (args.scenario is None):
         parser.error("provide exactly one of an input file and --scenario")
     if args.systems < 1:
@@ -262,8 +242,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.input, "r", encoding="utf-8") as handle:
             requests = read_requests(handle, source=args.input)
 
-    if args.cache_dir is not None and args.cache_backend is not None:
-        parser.error("pass either --cache-dir or --cache-backend, not both")
     cache_dir = schedule_cache_dir = None
     if args.cache_dir is not None:
         root = Path(args.cache_dir)

@@ -31,6 +31,7 @@ import signal
 import sys
 from typing import Any, Dict, List, Optional, Sequence, TextIO
 
+from repro.cli import add_pool_and_cache_arguments, check_pool_and_cache_arguments
 from repro.core import logging as relog
 from repro.server.client import ServerClient, parse_address
 from repro.server.daemon import DEFAULT_HOST, ReproServer
@@ -57,28 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_PORT,
         help=f"listen port; 0 binds an ephemeral port (default: {DEFAULT_PORT})",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes shared by scheduling and simulation (default: 1)",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent cache root, in the batch CLIs' layout (schedules/ "
-        "and sim-responses/ beneath it); omit to cache in memory only",
-    )
-    serve.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="storage backend for the persistent caches, as a 'name:key=value' "
-        "spec string — e.g. 'sqlite:path=cache.db' holds both caches in one "
-        "file (see `python -m repro.store --list-backends`).  Conflicts with "
-        "--cache-dir",
+    add_pool_and_cache_arguments(
+        serve,
+        cache_dir_help="persistent cache root, in the batch CLIs' layout "
+        "(schedules/ and sim-responses/ beneath it); omit to cache in memory only",
     )
     serve.add_argument(
         "--max-queue",
@@ -189,10 +172,12 @@ def _add_server_argument(command: argparse.ArgumentParser) -> None:
 
 
 def serve_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.cache_dir is not None and args.cache_backend is not None:
-        parser.error("pass either --cache-dir or --cache-backend, not both")
+    check_pool_and_cache_arguments(parser, args)
+    # Checked here, before anything opens a cache or binds a port.
+    if args.max_queue < 1:
+        parser.error(f"--max-queue must be >= 1, got {args.max_queue}")
+    if args.max_line_bytes < 1:
+        parser.error(f"--max-line-bytes must be >= 1, got {args.max_line_bytes}")
     try:
         server = ReproServer(
             host=args.host,
@@ -255,6 +240,8 @@ def request_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error("provide exactly one of an input file and --scenario")
     if args.systems < 1:
         parser.error(f"--systems must be >= 1, got {args.systems}")
+    if args.window < 1:
+        parser.error(f"--window must be >= 1, got {args.window}")
     if args.scenario is not None:
         from repro.service.__main__ import scenario_requests
 

@@ -145,6 +145,10 @@ class ReproServer:
             raise ValueError("pass both scheduling and simulation services, or neither")
         if cache_dir is not None and cache_backend is not None:
             raise ValueError("pass either cache_dir or cache_backend, not both")
+        if not isinstance(max_line_bytes, int) or max_line_bytes < 1:
+            raise ValueError(
+                f"max_line_bytes must be a positive integer, got {max_line_bytes!r}"
+            )
         self.host = host
         self.port = port
         self.max_line_bytes = max_line_bytes

@@ -34,6 +34,7 @@ import json
 import sys
 from typing import List, Optional, Sequence, TextIO
 
+from repro.cli import add_pool_and_cache_arguments, check_pool_and_cache_arguments
 from repro.core import logging as relog
 from repro.core.profiling import DEFAULT_PROFILE_PATH, maybe_profile
 from repro.scenario import create_scenario, format_scenario_listing
@@ -110,28 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="response JSONL file (default: stdout)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the batch (default: 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for the persistent content-addressed schedule cache "
-        "(omit to cache in memory for this batch only)",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="storage backend for the persistent schedule cache, as a "
-        "'name:key=value' spec string — e.g. 'sqlite:path=cache.db' or "
-        "'directory:root=DIR' (persists under DIR/schedules; see "
-        "`python -m repro.store --list-backends`).  Conflicts with --cache-dir",
+    add_pool_and_cache_arguments(
+        parser,
+        cache_dir_help="directory for the persistent content-addressed schedule "
+        "cache (omit to cache in memory for this batch only)",
     )
     parser.add_argument(
         "-v",
@@ -222,8 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             print(format_execution_model_listing())
         return 0
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+    check_pool_and_cache_arguments(parser, args)
     sources = [
         source
         for source in (args.input, args.scenario, args.campaign)
@@ -249,9 +231,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as handle:
             requests = read_requests(handle, source=args.input)
-
-    if args.cache_dir is not None and args.cache_backend is not None:
-        parser.error("pass either --cache-dir or --cache-backend, not both")
 
     with maybe_profile(args.profile):
         try:

@@ -302,6 +302,11 @@ class BatchCore:
         most :attr:`window` requests are ever looked up but undelivered: that
         is the most an interrupt, or an exception from ``on_response``, can
         lose.  Either cancels the undelivered pool jobs and propagates.
+
+        Run inline (one worker, or a lone request), the batch computes one
+        job where the pool would wait for one: each result is persisted and
+        handed back before the next job starts, so an interrupt loses no
+        computed result, while lookups stay batched a window at a time.
         """
         batch = _Batch(requests)
         # A lone request runs in-process: a pool task would only add a round
@@ -317,8 +322,7 @@ class BatchCore:
                 ):
                     work = self._look_up(batch, end)
                     if inline:
-                        for position in work:
-                            self._execute_inline(batch, position)
+                        batch.pending.extend(work)
                     else:
                         self._submit_chunks(batch, work)
                     continue
@@ -327,6 +331,8 @@ class BatchCore:
                     ready += 1
                 if ready > batch.delivered:
                     self._deliver(batch, ready, on_response)
+                elif inline:
+                    self._execute_inline(batch, batch.pending.pop(0))
                 else:
                     self._collect(batch)
         except BaseException:
@@ -532,8 +538,10 @@ class _Batch:
         self.leaders: Dict[str, int] = {}
         #: ...and that key's response once it is back.
         self.computed: Dict[str, Any] = {}
-        #: Pool tasks not yet collected, with the positions they compute.
+        #: Pool tasks not yet collected, with the positions they compute...
         self.in_flight: Dict[Future, List[int]] = {}
+        #: ...or, run inline, the positions still to compute, in order.
+        self.pending: List[int] = []
         self.looked_up = 0
         self.delivered = 0
 

@@ -112,13 +112,13 @@ class TestResume:
         ).read_bytes()
         assert final.report().to_json() == reference.report().to_json()
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("delivered", [3, 9])
     def test_interrupted_pooled_campaign_resumes_to_the_same_journal(
-        self, tmp_path, monkeypatch, delivered
+        self, tmp_path, monkeypatch, delivered, n_workers
     ):
-        # 6 schedule cells then 6 run-time cells at 2 workers; the interrupt
-        # hits after `delivered` cells were handed back (9 lands in the
-        # run-time grid).
+        # 6 schedule cells then 6 run-time cells; the interrupt hits after
+        # `delivered` cells were handed back (9 lands in the run-time grid).
         spec = CampaignSpec(
             name="pooled-resume",
             scenarios=("short-hyperperiod",),
@@ -150,13 +150,13 @@ class TestResume:
             monkeypatch.setattr(
                 service_class, "submit_batch", interrupting(service_class.submit_batch)
             )
-        with CampaignRunner(spec, artifact_dir=tmp_path / "cut", n_workers=2) as runner:
+        with CampaignRunner(spec, artifact_dir=tmp_path / "cut", n_workers=n_workers) as runner:
             with pytest.raises(KeyboardInterrupt):
                 runner.run()
         monkeypatch.undo()
         assert len(journal(tmp_path / "cut").read_text().splitlines()) == delivered
 
-        with CampaignRunner(spec, artifact_dir=tmp_path / "cut", n_workers=2) as runner:
+        with CampaignRunner(spec, artifact_dir=tmp_path / "cut", n_workers=n_workers) as runner:
             result = runner.run()
         assert result.complete
         assert (result.resumed, result.evaluated) == (delivered, 12 - delivered)

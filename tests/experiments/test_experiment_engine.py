@@ -5,10 +5,12 @@ import math
 import pytest
 
 import repro.experiments.engine as engine_mod
+import repro.service.service as service_mod
 from repro.experiments import ExperimentConfig, ExperimentEngine
-from repro.experiments.engine import CellResult, EvalJob, cell_seed, evaluate_cell
+from repro.experiments.engine import EvalJob, cell_seed, evaluate_cell
 from repro.experiments.runner import ExperimentRunner
 from repro.scheduling import GAConfig
+from repro.service import ScheduleResponse
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +36,6 @@ class TestCells:
         job = EvalJob(0.3, 2, "static")
         assert pickle.loads(pickle.dumps(job)) == job
         assert len({job, EvalJob(0.3, 2, "static"), EvalJob(0.3, 3, "static")}) == 2
-
-    def test_cell_record_round_trip(self):
-        cell = CellResult(schedulable=True, psi=0.25, upsilon=0.75, best_psi=0.5, best_upsilon=0.9)
-        assert CellResult.from_record(cell.to_record()) == cell
 
     def test_cell_seed_matches_runner_seeding(self, tiny_config_no_ga):
         config = tiny_config_no_ga
@@ -104,17 +102,30 @@ class TestArtifactCache:
         """The accuracy admission filter reuses schedulability-sweep static cells."""
         config = tiny_config_no_ga
         computed = []
-        real_evaluate = engine_mod.evaluate_cell
+        real_execute = service_mod.execute_request
         monkeypatch.setattr(
-            engine_mod,
-            "evaluate_cell",
-            lambda cfg, job: computed.append(job) or real_evaluate(cfg, job),
+            service_mod,
+            "execute_request",
+            lambda request: computed.append(request) or real_execute(request),
         )
         with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
             engine.schedulability_sweep()
             engine.accuracy_sweep()
-        static_jobs = [job for job in computed if job.method == "static"]
-        assert len(static_jobs) == len(set(static_jobs)), "a static cell was recomputed"
+        static_keys = [
+            request.content_key() for request in computed if request.spec.name == "static"
+        ]
+        assert len(static_keys) == len(set(static_keys)), "a static cell was recomputed"
+
+    def test_fps_alias_cells_hit_the_fps_offline_entries(self, tiny_config_no_ga, tmp_path):
+        """Figure 6's "fps" cells are the cached "fps-offline" cells of Figure 5."""
+        config = tiny_config_no_ga
+        with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
+            engine.schedulability_sweep()
+            admitted, _ = engine._admit_systems(0.3)
+            assert admitted == list(range(config.n_systems)), "a system outside Figure 5"
+            computed = engine.cells_computed
+            assert engine.accuracy_sweep([0.3], methods=["fps"]).systems_evaluated == {0.3: 3}
+            assert engine.cells_computed == computed, "an fps cell was recomputed"
 
     def test_interrupted_sweep_resumes_without_recomputation(self, tiny_config_no_ga, tmp_path, monkeypatch):
         """Acceptance: a killed run restarts from cached cells, not from scratch."""
@@ -126,25 +137,26 @@ class TestArtifactCache:
         interrupt_after = 7
         assert interrupt_after < total_cells
 
-        real_evaluate = engine_mod.evaluate_cell
+        real_execute = service_mod.execute_request
         first_run_calls = []
 
-        def interrupting(cfg, job):
+        def interrupting(request):
             if len(first_run_calls) >= interrupt_after:
                 raise KeyboardInterrupt
-            first_run_calls.append(job)
-            return real_evaluate(cfg, job)
+            first_run_calls.append(request.content_key())
+            return real_execute(request)
 
-        monkeypatch.setattr(engine_mod, "evaluate_cell", interrupting)
+        monkeypatch.setattr(service_mod, "execute_request", interrupting)
         with pytest.raises(KeyboardInterrupt):
             with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
                 engine.schedulability_sweep()
 
         second_run_calls = []
         monkeypatch.setattr(
-            engine_mod,
-            "evaluate_cell",
-            lambda cfg, job: second_run_calls.append(job) or real_evaluate(cfg, job),
+            service_mod,
+            "execute_request",
+            lambda request: second_run_calls.append(request.content_key())
+            or real_execute(request),
         )
         with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
             resumed = engine.schedulability_sweep()
@@ -168,20 +180,17 @@ class TestNewerArtifactsAreProtected:
             engine.schedulability_sweep()
 
         # Rewrite the stored artifact as if a newer package version produced it.
-        with ArtifactStore(tmp_path, config) as store:
-            artifact_name = next(
-                p.stem for p in store.directory.glob("schedulability-*.json")
-            )
-            payload = store.load_result(artifact_name)
-            payload["version"] = 99
-            store.save_result(artifact_name, payload)
+        store = ArtifactStore(tmp_path, config)
+        artifact_name = next(p.stem for p in store.directory.glob("schedulability-*.json"))
+        payload = store.load_result(artifact_name)
+        payload["version"] = 99
+        store.save_result(artifact_name, payload)
 
         with pytest.raises(PayloadVersionError):
             with ExperimentEngine(config, artifact_dir=str(tmp_path)) as engine:
                 engine.schedulability_sweep()
         # The newer artifact must survive untouched.
-        with ArtifactStore(tmp_path, config) as store:
-            assert store.load_result(artifact_name)["version"] == 99
+        assert store.load_result(artifact_name)["version"] == 99
 
 
 class TestAccuracyShortfall:
@@ -192,10 +201,17 @@ class TestAccuracyShortfall:
             n_systems=2,
             include_ga=False,
         )
-        infeasible = CellResult(
-            schedulable=False, psi=0.0, upsilon=0.0, best_psi=0.0, best_upsilon=0.0
+        infeasible = ScheduleResponse(
+            request_id=None,
+            spec="static",
+            horizon=0,
+            schedulable=False,
+            psi=0.0,
+            upsilon=0.0,
+            best_psi=0.0,
+            best_upsilon=0.0,
         )
-        monkeypatch.setattr(engine_mod, "evaluate_cell", lambda cfg, job: infeasible)
+        monkeypatch.setattr(service_mod, "execute_request", lambda request: infeasible)
 
         with pytest.warns(UserWarning, match="only 0 of the requested 2"):
             with ExperimentEngine(config) as engine:

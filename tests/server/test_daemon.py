@@ -157,6 +157,10 @@ class TestErrorEnvelopes:
         assert answer["data"]["error"] == ERR_VERSION_MISMATCH
         assert answer["data"]["tag"] == "inner"
 
+    def test_non_positive_line_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="max_line_bytes must be a positive integer"):
+            ReproServer(max_line_bytes=0)
+
     def test_oversized_line_answers_error_and_resyncs(self):
         with ThreadedServer(n_workers=1, port=0, max_line_bytes=256) as threaded:
             server = threaded.server

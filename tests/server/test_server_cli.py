@@ -134,6 +134,30 @@ class TestRequestCli:
             server_main(["request", "--server", "nonsense", "--scenario", SCENARIO])
 
 
+class TestFlagLimits:
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            (["serve", "--port", "0", "--max-queue", "0"], "--max-queue must be >= 1, got 0"),
+            (
+                ["serve", "--port", "0", "--max-line-bytes", "0"],
+                "--max-line-bytes must be >= 1, got 0",
+            ),
+            (["request", "--scenario", SCENARIO, "--window", "0"], "--window must be >= 1, got 0"),
+        ],
+    )
+    def test_each_limit_is_rejected_under_its_own_flag(
+        self, arguments, message, capsys, monkeypatch
+    ):
+        # The check comes first: nothing is built, nothing binds or connects.
+        monkeypatch.setattr("repro.server.__main__.ReproServer", None)
+        monkeypatch.setattr("repro.server.__main__.ServerClient", None)
+        with pytest.raises(SystemExit) as raised:
+            server_main(arguments)
+        assert raised.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestOneShotOps:
     def test_stats_and_health(self, threaded_server, capsys):
         address = f"{threaded_server.host}:{threaded_server.port}"
