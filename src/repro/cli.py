@@ -43,3 +43,12 @@ def check_pool_and_cache_arguments(
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.cache_dir is not None and args.cache_backend is not None:
         parser.error("pass either --cache-dir or --cache-backend, not both")
+    if args.cache_backend is not None:
+        # Opened once here, as the CLI is about to anyway, so that a bad spec
+        # or option is reported against the flag instead of as a traceback.
+        from repro.store import create_backend
+
+        try:
+            create_backend(args.cache_backend).close()
+        except ValueError as error:
+            parser.error(f"--cache-backend: {error}")

@@ -13,8 +13,9 @@ Two kinds of state are persisted under an artifact directory:
 * **Evaluation cells** — the per-``(utilisation, system, method)`` outcomes
   the engine computes, held by the scheduling service's content-addressed
   schedule cache in one SQLite file at the root,
-  ``<artifact dir>/cells.db`` (see :mod:`repro.store`).  Every computed
-  cell is persisted as soon as it is done, so a sweep interrupted mid-run
+  ``<artifact dir>/cells.db`` (see :mod:`repro.store`).  A cell is a
+  summary request, so its entry is the cell's figures without schedules.
+  Every computed cell is persisted as soon as it is done, so a sweep interrupted mid-run
   resumes with only the remainder recomputed.  A cell's key is the content of
   its schedule request, so every configuration, sweep shape and worker count
   that asks the same question shares the answer — enlarging a sweep reuses

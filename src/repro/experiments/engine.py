@@ -11,7 +11,10 @@ bit-identical at any worker count.  With an artifact directory the service's
 content-addressed schedule cache persists every cell as it is computed, in
 one SQLite file shared by every configuration (see
 :mod:`repro.experiments.artifacts`), so an interrupted sweep resumes without
-recomputing a finished cell.
+recomputing a finished cell.  Cells are summary requests (their responses
+and cache entries carry the figures, not the schedules), and each batch
+reaches the service as a generator, so a sweep holds only the requests of
+the service's window in memory.
 
 Scheduling methods are resolved through the scheduler registry
 (:mod:`repro.scheduling.registry`); registering a new method makes it
@@ -157,18 +160,15 @@ def generate_system(
 def cell_spec(config: ExperimentConfig, job: EvalJob) -> SchedulerSpec:
     """The fully-pinned scheduler spec one cell executes.
 
-    ``job.method`` is parsed as a spec string; the aliases ``fps`` and
-    ``heuristic`` become ``fps-offline`` and ``static``, so an alias's cells
-    share cache entries with its canonical name's.  For the GA, the
-    configured ``GAConfig`` supplies defaults under any options the spec
-    pins, and the RNG seed is derived from the cell seed whenever neither
-    pins one — so GA cells are as deterministic (and as
-    worker-count-independent) as every other method.
+    ``job.method`` is parsed as a spec string.  For the GA, the configured
+    ``GAConfig`` supplies defaults under any options the spec pins, and the
+    RNG seed is derived from the cell seed whenever neither pins one — so GA
+    cells are as deterministic (and as worker-count-independent) as every
+    other method.
     """
     spec = SchedulerSpec.parse(job.method)
     if spec.name != "ga":
-        name = {"fps": "fps-offline", "heuristic": "static"}.get(spec.name, spec.name)
-        return SchedulerSpec(name, spec.options)
+        return spec
     options = asdict(config.ga)
     options.update(spec.options_dict())
     if options.get("seed") is None:
@@ -181,19 +181,24 @@ def cell_spec(config: ExperimentConfig, job: EvalJob) -> SchedulerSpec:
 def cell_request(config: ExperimentConfig, job: EvalJob) -> ScheduleRequest:
     """The schedule request one cell executes.
 
-    With a scenario-backed configuration the request itself is
-    scenario-backed — the executing process materialises the system from the
-    declarative description, exactly as a direct ``--scenario`` service
-    request would; otherwise it carries the cell's generated system.
+    A cell needs the system-level figures only, so its request is a summary
+    request: no schedules in the response or in the cell cache.  With a
+    scenario-backed configuration the request itself is scenario-backed — the
+    executing process materialises the system from the declarative
+    description, exactly as a direct ``--scenario`` service request would;
+    otherwise it carries the cell's generated system.  The request resolves a
+    method alias (``fps``) to its registered name (``fps-offline``), so an
+    alias's cells share cache entries with its method's.
     """
     if config.scenario is not None:
         return ScheduleRequest(
             scenario=cell_scenario(config, job.utilisation),
             system_index=job.system_index,
             spec=cell_spec(config, job),
+            summary=True,
         )
     task_set = generate_system(config, job.utilisation, job.system_index)
-    return ScheduleRequest(task_set=task_set, spec=cell_spec(config, job))
+    return ScheduleRequest(task_set=task_set, spec=cell_spec(config, job), summary=True)
 
 
 def evaluate_cell(config: ExperimentConfig, job: EvalJob) -> CellResult:
@@ -237,18 +242,22 @@ class ExperimentEngine:
             ArtifactStore(directory, self.config) if directory is not None else None
         )
         self._service: Optional[SchedulingService] = None
+        #: Cells computed by services this engine has already closed.
+        self._computed_before = 0
         #: Cell counters and evaluate-latency histogram (kind="experiment").
         self.registry = MetricsRegistry()
 
     @property
     def cells_computed(self) -> int:
         """Cells actually evaluated (cache misses) over this engine's lifetime."""
-        return self._service.computed if self._service is not None else 0
+        open_count = self._service.computed if self._service is not None else 0
+        return self._computed_before + open_count
 
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
         if self._service is not None:
+            self._computed_before += self._service.computed
             self._service.close()
             # The service does not close a backend it was handed.
             if self._service.cache is not None:
@@ -292,8 +301,10 @@ class ExperimentEngine:
                 self._observe_evaluate(response.elapsed_s)
                 self._count_cell("miss")
 
+        # A generator: the service builds each cell's request (and system)
+        # as its window reaches it and lets go of it once delivered.
         self._service.submit_batch(
-            [cell_request(self.config, job) for job in jobs], on_response=record
+            (cell_request(self.config, job) for job in jobs), on_response=record
         )
         return results
 

@@ -20,7 +20,7 @@ Three layers, mirroring the scheduling stack one level down:
 * **service** — :class:`SimulationService`: worker pool, in-batch dedup and a
   content-addressed response cache; schedules are obtained through the
   existing :class:`~repro.service.SchedulingService`, so simulations share
-  schedule-cache entries with sweeps, batches and campaigns.
+  schedule-cache entries with batches and campaigns.
 
 CLI: ``python -m repro.runtime`` (JSONL batches, declarative ``--scenario``
 mode, ``--list-execution-models``).

@@ -248,16 +248,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cache_dir = str(root / SIM_CACHE_SUBDIR)
         schedule_cache_dir = str(root / SCHEDULE_CACHE_SUBDIR)
 
-    try:
-        service = SimulationService(
-            n_workers=args.workers,
-            cache_dir=cache_dir,
-            cache_backend=args.cache_backend,
-            schedule_cache_dir=schedule_cache_dir,
-        )
-    except ValueError as error:
-        parser.error(f"--cache-backend: {error}")
-    with service:
+    with SimulationService(
+        n_workers=args.workers,
+        cache_dir=cache_dir,
+        cache_backend=args.cache_backend,
+        schedule_cache_dir=schedule_cache_dir,
+    ) as service:
         responses = service.submit_batch(requests)
         stats = service.stats()
         scheduling_stats = service.scheduling.stats()

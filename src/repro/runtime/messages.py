@@ -119,9 +119,8 @@ class SimulationRequest:
     def schedule_request(self) -> ScheduleRequest:
         """The scheduling-service request obtaining this simulation's schedule.
 
-        Built to be content-identical to what a direct service call, an
-        experiment sweep or a campaign cell would submit for the same
-        workload/method, so simulations share schedule-cache entries with
+        Built to be content-identical to what a direct service call or a
+        campaign cell would submit for the same workload/method, so simulations share schedule-cache entries with
         every other consumer instead of recomputing schedules.
         """
         if self.task_set is not None:

@@ -27,6 +27,7 @@ from repro.scheduling.dependency_graph import (
 )
 from repro.scheduling.registry import (
     available_schedulers,
+    canonical_scheduler_name,
     create_scheduler,
     format_scheduler_listing,
     get_scheduler_factory,
@@ -62,6 +63,7 @@ __all__ = [
     "format_scheduler_listing",
     "scheduler_registered",
     "available_schedulers",
+    "canonical_scheduler_name",
     "LCCDAllocator",
     "FreeSlot",
     "free_slots",

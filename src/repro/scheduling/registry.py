@@ -28,6 +28,8 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 #: name -> factory.  Aliases map to the same factory object.
 _REGISTRY: Dict[str, Callable[..., Any]] = {}
+#: name -> the name it was registered under (an alias maps to its method's).
+_CANONICAL: Dict[str, str] = {}
 
 _MISSING = object()
 
@@ -67,6 +69,7 @@ def register_scheduler(
                     )
         for key in keys:
             _REGISTRY[key] = target
+            _CANONICAL[key] = name
         return target
 
     if factory is not None:
@@ -79,6 +82,13 @@ def unregister_scheduler(name: str) -> None:
     if name not in _REGISTRY:
         raise KeyError(f"unknown scheduler {name!r}")
     del _REGISTRY[name]
+    _CANONICAL.pop(name, None)
+
+
+def canonical_scheduler_name(name: str) -> str:
+    """The name ``name`` was registered under: an alias resolves to its
+    method's name, any other name (registered or not) to itself."""
+    return _CANONICAL.get(name, name)
 
 
 def scheduler_registered(name: str) -> bool:

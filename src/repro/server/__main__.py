@@ -178,20 +178,17 @@ def serve_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error(f"--max-queue must be >= 1, got {args.max_queue}")
     if args.max_line_bytes < 1:
         parser.error(f"--max-line-bytes must be >= 1, got {args.max_line_bytes}")
-    try:
-        server = ReproServer(
-            host=args.host,
-            port=args.port,
-            n_workers=args.workers,
-            cache_dir=args.cache_dir,
-            cache_backend=args.cache_backend,
-            max_queue=args.max_queue,
-            max_line_bytes=args.max_line_bytes,
-            allow_remote_shutdown=not args.no_remote_shutdown,
-            port_file=args.port_file,
-        )
-    except ValueError as error:
-        parser.error(f"--cache-backend: {error}")
+    server = ReproServer(
+        host=args.host,
+        port=args.port,
+        n_workers=args.workers,
+        cache_dir=args.cache_dir,
+        cache_backend=args.cache_backend,
+        max_queue=args.max_queue,
+        max_line_bytes=args.max_line_bytes,
+        allow_remote_shutdown=not args.no_remote_shutdown,
+        port_file=args.port_file,
+    )
 
     async def run() -> None:
         loop = asyncio.get_running_loop()

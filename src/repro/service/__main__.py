@@ -233,15 +233,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             requests = read_requests(handle, source=args.input)
 
     with maybe_profile(args.profile):
-        try:
-            service = SchedulingService(
-                n_workers=args.workers,
-                cache_dir=args.cache_dir,
-                cache_backend=args.cache_backend,
-            )
-        except ValueError as error:
-            parser.error(f"--cache-backend: {error}")
-        with service:
+        with SchedulingService(
+            n_workers=args.workers,
+            cache_dir=args.cache_dir,
+            cache_backend=args.cache_backend,
+        ) as service:
             responses = service.submit_batch(requests)
             stats = service.stats()
             metrics_snapshot = service.metrics()

@@ -33,6 +33,7 @@ in the request's content.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -292,8 +293,10 @@ class BatchCore:
         :attr:`last_traces` and the phase latency histograms of
         :attr:`registry`; responses carry none of it.
 
-        The batch streams through a window of :attr:`window` requests: keys
-        are looked up a window at a time, and a pool worker that finishes a
+        The batch streams through a window of :attr:`window` requests:
+        requests are taken from ``requests`` (any iterable) as the window
+        reaches them and let go once handed back, keys are looked up a window
+        at a time, and a pool worker that finishes a
         job finds the next one already queued, so no worker waits for a batch
         boundary.  ``on_response(position, response)`` is called once per
         response, in request order, as soon as that response and every
@@ -309,16 +312,22 @@ class BatchCore:
         computed result, while lookups stay batched a window at a time.
         """
         batch = _Batch(requests)
-        # A lone request runs in-process: a pool task would only add a round
-        # trip (and possibly the pool's start-up) to the same computation.
-        inline = self.n_workers == 1 or batch.size == 1
         try:
-            while batch.delivered < batch.size:
+            batch.pull(2)
+            # A lone request runs in-process: a pool task would only add a
+            # round trip (and possibly the pool's start-up) to the same
+            # computation.
+            inline = self.n_workers == 1 or batch.pulled == 1
+            while True:
+                # One request past the window tells whether the rest fits.
+                batch.pull(batch.delivered + self.window + 1)
+                if batch.delivered == batch.pulled:
+                    break
                 # Refill once half the window is free (or the rest fits): each
                 # lookup stays batched, and the pool never runs dry.
-                end = min(batch.size, batch.delivered + self.window)
-                if batch.looked_up < batch.size and end - batch.looked_up >= min(
-                    self.window // 2, batch.size - batch.looked_up
+                end = min(batch.pulled, batch.delivered + self.window)
+                if batch.looked_up < batch.pulled and end - batch.looked_up >= min(
+                    self.window // 2, batch.pulled - batch.looked_up
                 ):
                     work = self._look_up(batch, end)
                     if inline:
@@ -475,6 +484,9 @@ class BatchCore:
                 cache=response.cache,
             )
             batch.delivered = position + 1
+            # Let go of the request (and the task set it holds): a batch fed
+            # from a generator keeps only its window's requests alive.
+            batch.requests[position] = None
             if on_response is not None:
                 on_response(position, response)
 
@@ -522,16 +534,17 @@ class BatchCore:
 class _Batch:
     """The bookkeeping of one :meth:`BatchCore.submit_batch` call.
 
-    Positions ``[0, delivered)`` are handed back, ``[delivered, looked_up)``
-    are looked up and answered or in flight, the rest are untouched.
+    Positions ``[0, delivered)`` are handed back (their requests let go),
+    ``[delivered, looked_up)`` are looked up and answered or in flight,
+    ``[looked_up, pulled)`` are taken from the source but untouched.
     """
 
     def __init__(self, requests: Iterable[Any]):
-        self.requests = list(requests)
-        self.size = len(self.requests)
-        self.keys = [request.content_key() for request in self.requests]
-        self.traces = [Trace() for _ in self.requests]
-        self.responses: List[Any] = [None] * self.size
+        self._source = iter(requests)
+        self.requests: List[Any] = []
+        self.keys: List[str] = []
+        self.traces: List[Trace] = []
+        self.responses: List[Any] = []
         #: The cached result of every key a lookup found.
         self.found: Dict[str, Dict[str, Any]] = {}
         #: The first position of every key the batch computes...
@@ -544,6 +557,18 @@ class _Batch:
         self.pending: List[int] = []
         self.looked_up = 0
         self.delivered = 0
+
+    @property
+    def pulled(self) -> int:
+        return len(self.requests)
+
+    def pull(self, end: int) -> None:
+        """Take requests from the source until ``end`` are taken or it runs dry."""
+        for request in itertools.islice(self._source, max(0, end - self.pulled)):
+            self.requests.append(request)
+            self.keys.append(request.content_key())
+            self.traces.append(Trace())
+            self.responses.append(None)
 
     def is_done(self, position: int) -> bool:
         return self.responses[position] is not None or self.keys[position] in self.computed

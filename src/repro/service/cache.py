@@ -6,11 +6,13 @@ set, the scheduler spec and the horizon — and hold the deterministic
 ``result_dict`` of the corresponding response.  The same key therefore hits
 regardless of who asks, in which batch, at which worker count.
 
-The cache always serves from memory; with a storage backend
-(:class:`repro.store.CacheBackend`) it additionally persists every entry as a
-versioned JSON payload and lazily loads entries back on lookup, so a service
-restarted against a warm store recomputes nothing.  ``directory`` remains the
-classic shorthand for the file-per-key
+Without a storage backend the cache is its entries in memory.  With one
+(:class:`repro.store.CacheBackend`) it persists every entry as a versioned
+JSON payload and lazily loads entries back on lookup, so a service restarted
+against a warm store recomputes nothing; memory then holds only the
+:attr:`~ScheduleCache.MEMORY_ENTRIES` most recently used entries, so a long
+sweep or a long-lived daemon does not keep a copy of its whole store.
+``directory`` remains the classic shorthand for the file-per-key
 :class:`~repro.store.DirectoryBackend`; any other backend — e.g. one SQLite
 file shared by concurrent shard workers — plugs in via ``backend=``.
 Payloads written by a *newer* format version raise
@@ -27,6 +29,7 @@ given key holds an identical (content-addressed) result.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import threading
@@ -58,6 +61,9 @@ class ScheduleCache:
 
     #: Value of the ``cache`` label on this cache's registry counters.
     METRICS_LABEL = "schedule"
+    #: Entries a backend-persisted cache keeps in memory, least recently
+    #: used evicted first (the backend holds every entry either way).
+    MEMORY_ENTRIES = 1024
 
     def __init__(
         self,
@@ -80,7 +86,7 @@ class ScheduleCache:
         self.directory: Optional[Path] = (
             backend.root if isinstance(backend, DirectoryBackend) else None
         )
-        self._entries: Dict[str, Dict[str, Any]] = {}
+        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._lock = threading.Lock()
         #: The one source of lookup/store statistics over this cache's
         #: lifetime: ``repro_cache_ops_total{cache=<label>, op=hit|miss|store}``
@@ -124,6 +130,7 @@ class ScheduleCache:
         )
 
     def __len__(self) -> int:
+        """Entries held in memory (all of them, for a cache without backend)."""
         with self._lock:
             return len(self._entries)
 
@@ -135,14 +142,14 @@ class ScheduleCache:
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
         """Like :meth:`get` but without touching the hit/miss statistics."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._recall(key)
         if entry is None and self.backend is not None:
             # Backend I/O happens outside the lock; racing loaders of the same
             # key read identical (content-addressed) entries, first one in wins.
             entry = self._load(key)
             if entry is not None:
                 with self._lock:
-                    entry = self._entries.setdefault(key, entry)
+                    entry = self._remember(key, entry)
         return entry
 
     def peek_many(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
@@ -156,7 +163,7 @@ class ScheduleCache:
         missing: List[str] = []
         with self._lock:
             for key in distinct:
-                entry = self._entries.get(key)
+                entry = self._recall(key)
                 if entry is None:
                     missing.append(key)
                 else:
@@ -173,7 +180,7 @@ class ScheduleCache:
             if loaded:
                 with self._lock:
                     for key, entry in loaded.items():
-                        found[key] = self._entries.setdefault(key, entry)
+                        found[key] = self._remember(key, entry)
         return found
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -195,11 +202,15 @@ class ScheduleCache:
         return found
 
     def put(self, key: str, result: Dict[str, Any]) -> None:
-        """Store ``result`` under ``key`` (idempotent; first write wins)."""
+        """Store ``result`` under ``key`` (idempotent; first write wins).
+
+        A key evicted from memory is written again; the backend keeps its
+        first write.
+        """
         with self._lock:
             if key in self._entries:
                 return
-            self._entries[key] = result
+            self._remember(key, result)
         self._count_op("store")
         if self.backend is not None:
             self._persist(key, result)
@@ -216,7 +227,7 @@ class ScheduleCache:
             for key, result in items:
                 if key in self._entries:
                     continue
-                self._entries[key] = result
+                self._remember(key, result)
                 fresh.append((key, result))
         for _ in fresh:
             self._count_op("store")
@@ -237,6 +248,8 @@ class ScheduleCache:
 
     def stats(self) -> Dict[str, Any]:
         """Snapshot of the lifetime counters (entries, hits, misses, stores).
+
+        ``entries`` counts the entries held in memory (see :meth:`__len__`).
 
         ``backend`` names where entries persist — the backend's own summary
         (name, location, entry count, size), or ``{"name": "memory"}`` for a
@@ -267,6 +280,24 @@ class ScheduleCache:
         """Release the backend's resources (idempotent; memory entries stay)."""
         if self.backend is not None:
             self.backend.close()
+
+    # -- the memory layer (callers hold the lock) -------------------------------
+
+    def _recall(self, key: str) -> Optional[Dict[str, Any]]:
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def _remember(self, key: str, entry: Dict[str, Any]) -> Dict[str, Any]:
+        """Hold ``entry`` in memory unless ``key`` already is; returns the
+        held entry.  A backend-persisted cache then evicts down to
+        :attr:`MEMORY_ENTRIES`."""
+        held = self._entries.setdefault(key, entry)
+        self._entries.move_to_end(key)
+        if self.backend is not None and len(self._entries) > self.MEMORY_ENTRIES:
+            self._entries.popitem(last=False)
+        return held
 
     # -- the persisted form ------------------------------------------------------
 

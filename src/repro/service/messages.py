@@ -39,9 +39,10 @@ from repro.scenario import Scenario, create_scenario, materialize
 from repro.service.spec import SchedulerSpec
 
 REQUEST_KIND = "repro/schedule-request"
-#: Version 2 added scenario-backed requests; requests without a scenario are
-#: still written as version 1 so that version-1 readers keep working.
-REQUEST_VERSION = 2
+#: Version 2 added scenario-backed requests, version 3 summary requests; a
+#: request is written with the oldest version that can carry it, so older
+#: readers keep working.
+REQUEST_VERSION = 3
 RESPONSE_KIND = "repro/schedule-response"
 RESPONSE_VERSION = 1
 
@@ -65,7 +66,14 @@ class ScheduleRequest:
     ``horizon`` (microseconds) defaults to the task set's hyper-period, as in
     :meth:`Scheduler.schedule_taskset <repro.scheduling.base.Scheduler>`.
     ``request_id`` is free-form caller provenance echoed on the response; it
-    does not influence scheduling or caching.
+    does not influence scheduling or caching.  A ``summary`` request asks for
+    the system-level figures only: its response has no ``per_device``
+    entries, and so no schedules, which keeps it (and its cache entry) a few
+    hundred bytes whatever the system's size.
+
+    The spec is stored under its method's registered name — ``fps`` becomes
+    ``fps-offline`` — so requests that name one method by different aliases
+    are the same question and share one cache entry.
     """
 
     task_set: Optional[TaskSet] = None
@@ -74,11 +82,14 @@ class ScheduleRequest:
     request_id: Optional[str] = None
     scenario: Optional[Scenario] = None
     system_index: int = 0
+    summary: bool = False
 
     def __post_init__(self) -> None:
         if self.spec is None:
             raise ValueError("a scheduler spec is required")
-        object.__setattr__(self, "spec", SchedulerSpec.coerce(self.spec))
+        object.__setattr__(self, "spec", SchedulerSpec.coerce(self.spec).canonical())
+        if not isinstance(self.summary, bool):
+            raise ValueError(f"summary must be a boolean, got {self.summary!r}")
         if self.scenario is not None:
             object.__setattr__(self, "scenario", create_scenario(self.scenario))
         if (self.task_set is None) == (self.scenario is None):
@@ -112,7 +123,9 @@ class ScheduleRequest:
         Scenario-backed requests hash the scenario's own content key (which
         covers every scenario field) plus the system index, so changing *any*
         scenario field — workload, platform, faults, even the name — yields a
-        different key and therefore a cache miss.
+        different key and therefore a cache miss.  A summary request hashes
+        its ``summary`` flag too (full requests hash exactly what they did
+        before the flag existed).
 
         The request is frozen, so the key is hashed once and memoised — repeat
         calls (cache lookup, seed derivation, batch dedup) return the cached
@@ -122,22 +135,21 @@ class ScheduleRequest:
         if cached is not None:
             return cached
         if self.scenario is not None:
-            key = content_hash(
-                {
-                    "scenario": self.scenario.content_key(),
-                    "system_index": self.system_index,
-                    "spec": self.spec.to_dict(),
-                    "horizon": self.horizon,
-                }
-            )
+            question: Dict[str, Any] = {
+                "scenario": self.scenario.content_key(),
+                "system_index": self.system_index,
+                "spec": self.spec.to_dict(),
+                "horizon": self.horizon,
+            }
         else:
-            key = content_hash(
-                {
-                    "taskset": taskset_to_dict(self.task_set),
-                    "spec": self.spec.to_dict(),
-                    "horizon": self.horizon,
-                }
-            )
+            question = {
+                "taskset": taskset_to_dict(self.task_set),
+                "spec": self.spec.to_dict(),
+                "horizon": self.horizon,
+            }
+        if self.summary:
+            question["summary"] = True
+        key = content_hash(question)
         object.__setattr__(self, "_content_key", key)
         return key
 
@@ -166,14 +178,19 @@ class ScheduleRequest:
             "spec": self.spec.to_dict(),
             "horizon": self.horizon,
         }
+        # Payloads only claim a newer version when they need it: a full
+        # request without a scenario serialises exactly as version 1 did.
+        version = 1
         if self.scenario is not None:
             data["scenario"] = self.scenario.to_dict()
             data["system_index"] = self.system_index
-            return versioned_payload(REQUEST_KIND, REQUEST_VERSION, data)
-        # Requests without a scenario serialise exactly as version 1 did, so
-        # payloads only claim the newer version when they actually need it.
-        data["taskset"] = taskset_to_dict(self.task_set)
-        return versioned_payload(REQUEST_KIND, 1, data)
+            version = 2
+        else:
+            data["taskset"] = taskset_to_dict(self.task_set)
+        if self.summary:
+            data["summary"] = True
+            version = 3
+        return versioned_payload(REQUEST_KIND, version, data)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScheduleRequest":
@@ -190,6 +207,7 @@ class ScheduleRequest:
             request_id=data.get("id"),
             scenario=Scenario.from_dict(scenario) if scenario is not None else None,
             system_index=int(data.get("system_index", 0)),
+            summary=bool(data.get("summary", False)),
         )
 
     def to_json(self) -> str:

@@ -15,7 +15,7 @@ schedule cache with in-batch dedup, and hit/miss provenance on every
 response; this module supplies only the execute function and its pool-side
 runner.
 
-The campaign runner, the experiment engine's pooled sweeps, the controller
+The campaign runner, the experiment engine's sweeps, the controller
 simulation, the serving daemon and the ``python -m repro.service`` JSONL CLI
 all schedule through this facade.
 """
@@ -134,7 +134,9 @@ def build_response(
 
     task_set = request.effective_task_set()
     per_device: Dict[str, Dict[str, Any]] = {}
-    for device, device_result in result.per_device.items():
+    # A summary request answers with the system-level figures only.
+    devices = {} if request.summary else result.per_device
+    for device, device_result in devices.items():
         schedule = device_result.schedule
         info = {
             key: value

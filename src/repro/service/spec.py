@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple, Union
 
-from repro.scheduling.registry import create_scheduler
+from repro.scheduling.registry import canonical_scheduler_name, create_scheduler
 
 #: JSON-compatible option value types a spec can carry.
 OptionValue = Union[bool, int, float, str, None]
@@ -169,6 +169,12 @@ class SchedulerSpec:
         if isinstance(spec, cls):
             return spec
         return cls.parse(spec)
+
+    def canonical(self) -> "SchedulerSpec":
+        """This spec under its method's registered name (``fps`` becomes
+        ``fps-offline``); the same spec when the name is no alias."""
+        name = canonical_scheduler_name(self.name)
+        return self if name == self.name else SchedulerSpec(name, self.options)
 
     def with_options(self, **options: OptionValue) -> "SchedulerSpec":
         """A copy with ``options`` merged over the existing ones."""

@@ -11,6 +11,7 @@ from repro.experiments.engine import EvalJob, cell_seed, evaluate_cell
 from repro.experiments.runner import ExperimentRunner
 from repro.scheduling import GAConfig
 from repro.service import ScheduleResponse
+from repro.store import SqliteBackend
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,17 @@ class TestArtifactCache:
             computed = engine.cells_computed
             assert engine.accuracy_sweep([0.3], methods=["fps"]).systems_evaluated == {0.3: 3}
             assert engine.cells_computed == computed, "an fps cell was recomputed"
+
+    def test_cell_cache_holds_summaries_only(self, tiny_config_no_ga, tmp_path):
+        """A cell entry is the cell's figures, not the method's schedules."""
+        with ExperimentEngine(tiny_config_no_ga, artifact_dir=str(tmp_path)) as engine:
+            engine.schedulability_sweep()
+            computed = engine.cells_computed
+        assert engine.cells_computed == computed > 0  # closing keeps the count
+        with SqliteBackend(tmp_path / "cells.db") as backend:
+            payloads = list(backend.get_many(backend.keys()).values())
+        assert len(payloads) == computed
+        assert all(payload["data"]["result"]["per_device"] == {} for payload in payloads)
 
     def test_interrupted_sweep_resumes_without_recomputation(self, tiny_config_no_ga, tmp_path, monkeypatch):
         """Acceptance: a killed run restarts from cached cells, not from scratch."""

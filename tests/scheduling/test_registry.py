@@ -3,6 +3,7 @@
 import pytest
 
 from repro.scheduling import (
+    canonical_scheduler_name,
     FPSOfflineScheduler,
     GAConfig,
     GAScheduler,
@@ -33,6 +34,12 @@ class TestBuiltinRegistrations:
         assert isinstance(create_scheduler("fps-offline"), FPSOfflineScheduler)
         assert isinstance(create_scheduler("fps"), FPSOfflineScheduler)
         assert isinstance(create_scheduler("gpiocp"), GPIOCPScheduler)
+
+    def test_aliases_resolve_to_their_registered_name(self):
+        assert canonical_scheduler_name("fps") == "fps-offline"
+        assert canonical_scheduler_name("heuristic") == "static"
+        assert canonical_scheduler_name("gpiocp") == "gpiocp"
+        assert canonical_scheduler_name("no-such-method") == "no-such-method"
 
     def test_ga_config_is_forwarded(self):
         config = GAConfig(population_size=5, generations=2, seed=7)

@@ -7,6 +7,8 @@ distinct key computed once, its first occurrence the miss, repeats hits) at
 any worker count, chunk size and window position.
 """
 
+import weakref
+
 import pytest
 
 from repro.obs.metrics import REQUESTS_TOTAL
@@ -173,6 +175,48 @@ class TestOrderAndBound:
         # but never past the window.
         assert max(outstanding) == core.window
         assert all(count <= core.window for count in outstanding)
+
+
+class TestGeneratorBatches:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_a_generator_batch_holds_only_its_window(self, n_workers):
+        """Requests are taken as the window reaches them and let go once delivered."""
+        taken = []
+        refs = []
+
+        def track(request):
+            refs.append(weakref.ref(request))
+            return request
+
+        def requests():
+            # Built one by one: nothing but the batch holds a taken request.
+            for index in range(20):
+                for method in ("static", "gpiocp"):
+                    taken.append(f"{index}/{method}/0")
+                    yield track(
+                        ScheduleRequest(
+                            scenario="short-hyperperiod",
+                            system_index=index,
+                            spec=method,
+                            request_id=taken[-1],
+                        )
+                    )
+
+        ahead = []
+        alive = []
+        with SchedulingService(n_workers=n_workers, cache=None) as service:
+
+            def on_response(position, response):
+                ahead.append(len(taken) - position)
+                alive.append(sum(ref() is not None for ref in refs[: position + 1]))
+
+            responses = service.submit_batch(requests(), on_response=on_response)
+            window = service.core.window
+        assert [response.request_id for response in responses] == [
+            request.request_id for request in fast_requests(20)
+        ]
+        assert max(ahead) <= window + 1
+        assert alive == [0] * len(responses)
 
 
 class TestInterrupts:

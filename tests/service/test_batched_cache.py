@@ -154,6 +154,29 @@ class TestScheduleCacheBatchOps:
         }
 
 
+class TestMemoryLayer:
+    def test_a_backed_cache_keeps_only_recent_entries_in_memory(self, tmp_path):
+        backend = CountingBackend(tmp_path / "c")
+        cache = ScheduleCache(backend=backend)
+        cache.MEMORY_ENTRIES = 4
+        cache.put_many([(f"{index:016x}", result(index)) for index in range(6)])
+        cache.get(f"{2:016x}")  # recently used: survives the next evictions
+        cache.put(f"{6:016x}", result(6))
+        assert len(cache) == 4
+        assert backend.get_calls == 0
+        # Evicted entries come back from the backend; recent ones from memory.
+        assert cache.get(f"{0:016x}") == result(0)
+        assert backend.get_calls == 1
+        assert cache.get(f"{2:016x}") == result(2)
+        assert backend.get_calls == 1
+
+    def test_a_memory_only_cache_keeps_everything(self):
+        cache = ScheduleCache()
+        cache.MEMORY_ENTRIES = 4
+        cache.put_many([(f"{index:016x}", result(index)) for index in range(6)])
+        assert len(cache) == 6
+
+
 class TestBatchLookupInService:
     def make_requests(self):
         return [

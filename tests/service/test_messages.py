@@ -79,6 +79,29 @@ class TestScheduleRequest:
         clone = pickle.loads(pickle.dumps(request_))
         assert clone.content_key() == request_.content_key()
 
+    def test_aliases_are_one_question(self, task_set):
+        alias = ScheduleRequest(task_set=task_set, spec="fps")
+        method = ScheduleRequest(task_set=task_set, spec="fps-offline")
+        assert alias.spec == SchedulerSpec("fps-offline")
+        assert alias.content_key() == method.content_key()
+
+    def test_summary_is_its_own_question(self, task_set, request_):
+        summary = ScheduleRequest(task_set=task_set, spec="static", summary=True)
+        assert summary.content_key() != request_.content_key()
+        payload = summary.to_dict()
+        assert payload["version"] == 3 and payload["data"]["summary"] is True
+        assert ScheduleRequest.from_dict(payload).content_key() == summary.content_key()
+        assert "summary" not in request_.to_dict()["data"]
+
+    def test_summary_response_has_the_figures_without_devices(self, task_set, request_):
+        full = execute_request(request_)
+        summary = execute_request(
+            ScheduleRequest(task_set=task_set, spec="static", summary=True)
+        )
+        assert full.per_device and summary.per_device == {}
+        for field in ("spec", "horizon", "schedulable", "psi", "upsilon", "best_psi", "best_upsilon"):
+            assert getattr(summary, field) == getattr(full, field)
+
 
 class TestScheduleResponse:
     def test_json_round_trip_preserves_everything(self, request_):

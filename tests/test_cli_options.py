@@ -24,6 +24,10 @@ CLIS = {
             ["--cache-dir", "cache", "--cache-backend", "cache.db"],
             "pass either --cache-dir or --cache-backend, not both",
         ),
+        (
+            ["--cache-backend", "sqlite:bogus=1"],
+            "--cache-backend: sqlite backend requires a path= option",
+        ),
     ],
 )
 def test_every_cli_rejects_the_same_pool_and_cache_misuse(cli, arguments, message, capsys):
